@@ -1,7 +1,7 @@
 //! Kernel hot-path throughput: the calendar event queue in isolation, and
 //! whole-engine event throughput on representative configurations.
 //!
-//! Three groups:
+//! Five groups:
 //!
 //! * `event_queue` — the classic *hold model* directly against
 //!   [`simkernel::EventQueue`]: a fixed event population, each pop schedules
@@ -14,6 +14,9 @@
 //! * `quantile_sketch_insert` — streaming inserts into
 //!   [`simkernel::QuantileSketch`] at several capacities: the per-completion
 //!   cost the tail-latency section adds to the engine's hot path.
+//! * `zipf` — [`simkernel::dist::Zipf`], the hot-spot sampler's ranking
+//!   distribution: its build at the hot 20 % of Debit-Credit's 50M accounts,
+//!   and its per-draw cost at the size of the largest synthetic trace file.
 //! * `engine` — complete simulation runs (single-node quickstart point and
 //!   the 8-node fig5.x point), reporting the kernel's events/sec via
 //!   [`tpsim::Simulation::run_profiled`].
@@ -27,6 +30,7 @@ mod common;
 use tpsim_bench::microbench::{black_box, Criterion};
 use tpsim_bench::runner::{self, Family, RunSettings};
 
+use simkernel::dist::Zipf;
 use simkernel::{EventQueue, QuantileSketch, SimRng};
 
 /// One hold-model iteration: `churn` pop+schedule pairs over a primed queue.
@@ -139,6 +143,35 @@ fn bench_sketch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Builds per iteration of the `zipf` build bench, so ms/iter reads as
+/// µs per build.
+const ZIPF_BUILDS: usize = 1_000;
+/// Draws per iteration of the `zipf` sample bench, so ms/iter reads as ns
+/// per draw.
+const ZIPF_DRAWS: usize = 1_000_000;
+
+fn bench_zipf(c: &mut Criterion) {
+    let mut group = c.benchmark_group("zipf");
+    group.bench_function(format!("new 10M items theta 0.9 (x{ZIPF_BUILDS})"), |b| {
+        b.iter(|| {
+            for _ in 0..ZIPF_BUILDS {
+                black_box(Zipf::new(black_box(10_000_000), black_box(0.9)));
+            }
+        })
+    });
+    let z = Zipf::new(9_400, 0.95);
+    group.bench_function(
+        format!("sample 9.4k items theta 0.95 (x{ZIPF_DRAWS})"),
+        |b| {
+            b.iter(|| {
+                let mut rng = SimRng::seed_from(42);
+                (0..ZIPF_DRAWS).fold(0u64, |acc, _| acc ^ z.sample(&mut rng))
+            })
+        },
+    );
+    group.finish();
+}
+
 fn bench_engine(c: &mut Criterion) {
     let mut settings = RunSettings::full();
     settings.parallel = false;
@@ -177,6 +210,7 @@ fn main() {
     bench_event_queue(&mut c);
     bench_scheduler(&mut c);
     bench_sketch(&mut c);
+    bench_zipf(&mut c);
     bench_engine(&mut c);
     c.final_summary();
 }

@@ -199,6 +199,23 @@ mod tests {
     }
 
     #[test]
+    fn builds_and_samples_beyond_direct_summation() {
+        // A 2^40-item range with a 2^38-item hot set: the Zipf normaliser is
+        // O(1) to build, so this is as cheap as a ten-item range.
+        let n = 1u64 << 40;
+        let s = HotSpotSampler::new(n, HotSpotParams::new(0.9, 0.25));
+        assert_eq!(s.hot_items(), 1 << 38);
+        let mut rng = SimRng::seed_from(36);
+        let mut hot = 0;
+        for _ in 0..10_000 {
+            let x = s.sample(&mut rng);
+            assert!(x < n);
+            hot += usize::from(x < s.hot_items());
+        }
+        assert!((7_300..7_700).contains(&hot), "{hot} hot draws");
+    }
+
+    #[test]
     fn tiny_partitions_are_safe() {
         let s = HotSpotSampler::new(1, HotSpotParams::new(0.9, 0.1));
         let mut rng = SimRng::seed_from(35);

@@ -160,11 +160,20 @@ impl DiscreteDist {
     }
 }
 
+/// Terms of ζ(n, θ) summed directly before [`Zipf`]'s closed-form tail takes
+/// over.  Every normaliser over at most this many items is the plain direct
+/// sum, bit for bit.
+const ZETA_EXACT_TERMS: u64 = 4096;
+
 /// Zipf-like distribution over `0..n` with skew parameter `theta` in `[0, 1)`.
 ///
-/// Used only by the synthetic trace generator (the paper's own synthetic model
-/// uses sub-partitions / the b-c rule instead).  `theta = 0` is uniform;
-/// values around 0.8–0.99 give the heavy skew typical of OLTP traces.
+/// The generator of Gray et al., "Quickly Generating Billion-Record Synthetic
+/// Databases" (SIGMOD '94).  Used by the synthetic trace generator (page
+/// popularity within a file) and by the hot-spot sampler (ranking inside the
+/// hot set); the paper's own synthetic model uses sub-partitions / the b-c
+/// rule instead.  `theta = 0` is uniform; values around 0.8–0.99 give the
+/// heavy skew typical of OLTP traces.  Building and sampling both take O(1)
+/// time in `n`.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
@@ -192,10 +201,37 @@ impl Zipf {
         }
     }
 
+    /// The normaliser ζ(n, θ) = Σ_{i=1..n} i^-θ in O(1) time.
+    ///
+    /// The first [`ZETA_EXACT_TERMS`] terms are summed directly.  The rest
+    /// come from the Euler–Maclaurin formula with f(x) = x^-θ over [K, n]:
+    /// the integral, plus (f(n) − f(K))/2 (the sum runs over K+1..=n), plus
+    /// the B₂ and B₄ derivative corrections.  The first omitted term,
+    /// B₆/6!·f⁽⁵⁾(K), is below 10^-20, far under one ulp of the head, so the
+    /// tail adds no error beyond the rounding of the head's direct sum.
     fn zeta(n: u64, theta: f64) -> f64 {
-        // Direct summation is fine for the sizes used in the trace generator
-        // (tens of thousands of elements, computed once).
-        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+        let head: f64 = (1..=n.min(ZETA_EXACT_TERMS))
+            .map(|i| 1.0 / (i as f64).powf(theta))
+            .sum();
+        if n <= ZETA_EXACT_TERMS {
+            return head;
+        }
+        let (k, n) = (ZETA_EXACT_TERMS as f64, n as f64);
+        // ∫_K^n x^-θ dx = K^(1-θ)·((n/K)^(1-θ) − 1)/(1−θ); expm1 keeps it exact
+        // as θ → 1, where the difference would otherwise cancel.  At θ = 0 it
+        // is n − K, taken exactly so the uniform normaliser stays exactly n.
+        let s = 1.0 - theta;
+        let integral = if theta == 0.0 {
+            n - k
+        } else {
+            k.powf(s) * (s * (n / k).ln()).exp_m1() / s
+        };
+        let f = |x: f64| x.powf(-theta);
+        let f1 = |x: f64| -theta * x.powf(-theta - 1.0);
+        let f3 = |x: f64| -theta * (theta + 1.0) * (theta + 2.0) * x.powf(-theta - 3.0);
+        let tail =
+            integral + (f(n) - f(k)) / 2.0 + (f1(n) - f1(k)) / 12.0 - (f3(n) - f3(k)) / 720.0;
+        head + tail
     }
 
     /// Samples a value in `0..n` (0 is the most popular element).
@@ -208,6 +244,8 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
+        // `1 + 2^-θ` is not cached in a field: that was faster in an isolated
+        // sampling loop but slower end to end in the trace generator.
         if uz < 1.0 + 0.5f64.powf(self.theta) {
             return 1;
         }
@@ -224,11 +262,6 @@ impl Zipf {
     /// Always false (a Zipf distribution has at least one element).
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Unused accessor kept for diagnostics.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 }
 
@@ -440,6 +473,80 @@ mod tests {
         }
         assert_eq!(z.len(), 50);
         assert!(!z.is_empty());
+    }
+
+    /// The normaliser as it was computed before the closed-form tail: one
+    /// `powf` per element, summed in order.
+    fn direct_zeta(n: u64, theta: f64) -> f64 {
+        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    }
+
+    /// ζ(n, θ) by Neumaier-compensated summation, smallest term first.
+    fn compensated_zeta(n: u64, theta: f64) -> f64 {
+        let (mut sum, mut carry) = (0.0f64, 0.0f64);
+        for i in (1..=n).rev() {
+            let term = 1.0 / (i as f64).powf(theta);
+            let t = sum + term;
+            carry += if sum.abs() >= term.abs() {
+                (sum - t) + term
+            } else {
+                (term - t) + sum
+            };
+            sum = t;
+        }
+        sum + carry
+    }
+
+    const THETAS: [f64; 6] = [0.0, 0.5, 0.9, 0.95, 0.99, 0.999999];
+
+    #[test]
+    fn zeta_up_to_the_exact_terms_is_the_direct_sum_bit_for_bit() {
+        let k = ZETA_EXACT_TERMS;
+        for theta in THETAS {
+            for n in [1, 2, 3, 100, k - 1, k] {
+                assert_eq!(
+                    Zipf::zeta(n, theta).to_bits(),
+                    direct_zeta(n, theta).to_bits(),
+                    "n={n} theta={theta}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "10^5-term reference sums are too slow to interpret")]
+    fn zeta_matches_compensated_sum() {
+        let k = ZETA_EXACT_TERMS;
+        for theta in THETAS {
+            for n in [1, 2, k - 1, k, k + 1, 100_000] {
+                let exact = compensated_zeta(n, theta);
+                let rel = (Zipf::zeta(n, theta) - exact).abs() / exact;
+                assert!(rel <= 1e-13, "n={n} theta={theta}: relative error {rel:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn zeta_is_exactly_n_when_uniform() {
+        for n in [ZETA_EXACT_TERMS + 1, 10_000_000, 1 << 40] {
+            assert_eq!(Zipf::zeta(n, 0.0), n as f64);
+        }
+    }
+
+    #[test]
+    fn zipf_builds_and_samples_beyond_direct_summation() {
+        // 2^40 elements: a direct sum would take hours; the closed form is O(1).
+        let n = 1u64 << 40;
+        let z = Zipf::new(n, 0.9);
+        let mut rng = SimRng::seed_from(5);
+        let mut hottest = 0;
+        for _ in 0..10_000 {
+            let x = z.sample(&mut rng);
+            assert!(x < n);
+            hottest += usize::from(x == 0);
+        }
+        // P(0) = 1/ζ(2^40, 0.9) ≈ 0.66 %, so about 66 of 10^4 draws.
+        assert!((40..100).contains(&hottest), "{hottest} draws of item 0");
     }
 
     #[test]
