@@ -22,25 +22,25 @@
 //! cargo run --release -p tpsim-bench --bin experiments -- \
 //!     --profile fresh.json --check-baseline BENCH_kernel.json
 //!
-//! # Scaling gate (CI): run the suite sequentially and on the sharded kernel,
-//! # assert identical event counts (determinism) on any host and wall-clock
-//! # parity/speedup on hosts with >= 2 CPUs; write the scaling artifact:
+//! # Scaling gate (CI): sweep the suite's points serially and with one
+//! # worker per CPU, alternating, assert identical reports on any host and a
+//! # median speedup above 1.0 on hosts with >= 2 CPUs; write the artifact:
 //! cargo run --release -p tpsim-bench --bin experiments -- \
-//!     --threads 2 --check-scaling BENCH_scaling.fresh.json
+//!     --check-scaling BENCH_scaling.fresh.json
 //! ```
 
 use tpsim_bench::profile::{
-    check_against_baseline, check_scaling, kernel_profile_suite, parse_baseline, render_bench_json,
-    HistoryEntry, ScalingInfo,
+    check_against_baseline, check_scaling, diverged_points, kernel_profile_suite, parse_baseline,
+    render_bench_json, sweep_profile_points, time_suite_sweep, HistoryEntry, SweepPair,
 };
 use tpsim_bench::{all_experiments, experiments::run_experiment, RunSettings};
 
 /// Tolerated one-sided events/sec drop before the baseline gate fails.
 const BASELINE_TOLERANCE: f64 = 0.30;
 
-/// Tolerated per-point slowdown of the sharded kernel vs sequential before
-/// the scaling gate fails (only enforced on hosts with >= 2 CPUs).
-const SCALING_TOLERANCE: f64 = 0.10;
+/// Alternating serial/parallel sweep pairs the scaling gate measures (at
+/// least `profile::MIN_SCALING_PAIRS`).
+const SCALING_PAIRS: usize = 7;
 
 /// Best-of-N repetitions per profile point.
 const PROFILE_REPS: usize = 3;
@@ -53,7 +53,6 @@ fn main() {
     let mut profile_out: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut scaling_out: Option<String> = None;
-    let mut kernel_threads: usize = 0;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -70,17 +69,6 @@ fn main() {
                 scale_label = "full";
             }
             "--sequential" => settings.parallel = false,
-            "--threads" => {
-                // Sharded-kernel workers inside each simulation; results are
-                // byte-identical for every value (see docs/ARCHITECTURE.md,
-                // "Parallel kernel"), only wall-clock changes.
-                let parsed = iter.next().and_then(|n| n.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--threads needs a thread count");
-                    std::process::exit(2);
-                };
-                kernel_threads = n;
-            }
             "--profile" => {
                 // Optional output path; defaults to BENCH_kernel.json.  Only
                 // a `.json` token is taken as the path, so an experiment id
@@ -132,13 +120,12 @@ fn main() {
             std::process::exit(2);
         }
         if let Some(out) = scaling_out {
-            run_scaling_mode(out, kernel_threads);
+            run_scaling_mode(out);
             return;
         }
-        run_profile_mode(profile_out, baseline_path, kernel_threads);
+        run_profile_mode(profile_out, baseline_path);
         return;
     }
-    settings.kernel_threads = kernel_threads;
 
     let catalogue = all_experiments();
     let ids: Vec<String> = if requested.is_empty() {
@@ -177,18 +164,9 @@ fn main() {
 
 /// Runs the kernel profile suite, prints it, optionally writes the JSON and
 /// optionally gates against a committed baseline.
-fn run_profile_mode(
-    profile_out: Option<String>,
-    baseline_path: Option<String>,
-    kernel_threads: usize,
-) {
-    let scaling = ScalingInfo::current(kernel_threads);
-    println!(
-        "# TPSIM kernel profile (full scale, best of {PROFILE_REPS} reps per point, \
-         kernel threads {kernel_threads}, host parallelism {})",
-        scaling.host_parallelism
-    );
-    let fresh = kernel_profile_suite(PROFILE_REPS, kernel_threads);
+fn run_profile_mode(profile_out: Option<String>, baseline_path: Option<String>) {
+    println!("# TPSIM kernel profile (full scale, best of {PROFILE_REPS} reps per point)");
+    let fresh = kernel_profile_suite(PROFILE_REPS);
     println!(
         "{:<26} {:>12} {:>12} {:>16} {:>18}",
         "point", "events", "wall [ms]", "events/sec", "fanout [us/commit]"
@@ -222,7 +200,7 @@ fn run_profile_mode(
     if let Some(out) = profile_out {
         // A fresh emission carries no history; the committed BENCH_kernel.json
         // keeps its hand-curated history section across PRs.
-        std::fs::write(&out, render_bench_json(&fresh, &scaling, &[])).unwrap_or_else(|e| {
+        std::fs::write(&out, render_bench_json(&fresh, &[])).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(2);
         });
@@ -247,36 +225,48 @@ fn run_profile_mode(
     }
 }
 
-/// Runs the profile suite twice — sequentially and on the sharded kernel —
-/// and gates the pair with [`check_scaling`]: event counts must match on any
-/// host; wall-clock must hold up only when the host has >= 2 CPUs.  Writes
-/// the parallel measurement (with the sequential run as its history entry)
-/// to `out` unless it is empty.
-fn run_scaling_mode(out: String, kernel_threads: usize) {
-    let threads = kernel_threads.max(2);
-    let scaling = ScalingInfo::current(threads);
+/// Sweeps the profile suite's points [`SCALING_PAIRS`] times serially and
+/// with one worker per CPU, alternating, and gates the pairs with
+/// [`check_scaling`]: every report must match the first serial sweep's on any
+/// host; the median speedup must exceed 1.0 when the host has >= 2 CPUs.
+/// Writes the last parallel sweep's points (with the last serial sweep as
+/// its history entry) to `out` unless it is empty.
+fn run_scaling_mode(out: String) {
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "# TPSIM scaling gate (full scale, best of {PROFILE_REPS} reps per point, \
-         kernel threads {threads} vs sequential, host parallelism {})",
-        scaling.host_parallelism
+        "# TPSIM sweep scaling gate (full scale, {SCALING_PAIRS} alternating serial/parallel \
+         sweeps of the profile suite, host CPUs {host_cpus})"
     );
-    let sequential = kernel_profile_suite(PROFILE_REPS, 0);
-    let parallel = kernel_profile_suite(PROFILE_REPS, threads);
+    let mut reference = None;
+    let mut pairs = Vec::with_capacity(SCALING_PAIRS);
+    let mut last = (Vec::new(), Vec::new());
+    for _ in 0..SCALING_PAIRS {
+        let (serial_ms, serial) = time_suite_sweep(false);
+        let (parallel_ms, parallel) = time_suite_sweep(true);
+        let reference = reference.get_or_insert_with(|| serial.clone());
+        let mut diverged = diverged_points(reference, &serial);
+        diverged.extend(diverged_points(reference, &parallel));
+        pairs.push(SweepPair {
+            serial_ms,
+            parallel_ms,
+            diverged,
+        });
+        last = (serial, parallel);
+    }
     if !out.is_empty() {
         let reference = HistoryEntry {
-            label: "sequential reference (same build, same host, kernel_threads 0)".to_string(),
-            points: sequential.clone(),
+            label: "serial sweep reference (same build, same host)".to_string(),
+            points: sweep_profile_points(&last.0),
         };
-        std::fs::write(&out, render_bench_json(&parallel, &scaling, &[reference])).unwrap_or_else(
-            |e| {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(2);
-            },
-        );
+        let json = render_bench_json(&sweep_profile_points(&last.1), &[reference]);
+        std::fs::write(&out, json).unwrap_or_else(|e| {
+            eprintln!("cannot write {out}: {e}");
+            std::process::exit(2);
+        });
         println!("wrote {out}");
     }
-    match check_scaling(&sequential, &parallel, &scaling, SCALING_TOLERANCE) {
-        Ok(table) => println!("\nscaling check (tolerance 10%):\n{table}"),
+    match check_scaling(&pairs, host_cpus) {
+        Ok(table) => println!("\nscaling check:\n{table}"),
         Err(report) => {
             eprintln!("\nscaling check FAILED:\n{report}");
             std::process::exit(1);
@@ -286,16 +276,14 @@ fn run_scaling_mode(out: String, kernel_threads: usize) {
 
 fn print_help() {
     println!(
-        "usage: experiments [--quick|--standard|--full] [--sequential] [--threads N] \
-         [EXPERIMENT-ID ...]\n\
-         \x20      experiments [--threads N] --profile [OUT.json] \
-         [--check-baseline BENCH_kernel.json]\n\
-         \x20      experiments [--threads N] --check-scaling [OUT.json]\n\
-         \x20      --threads N runs each simulation on the sharded event kernel with N\n\
-         \x20      workers (results are byte-identical; only wall-clock changes)\n\
-         \x20      --check-scaling runs the profile suite sequentially and with the\n\
-         \x20      sharded kernel (N workers, default 2), asserts equal event counts,\n\
-         \x20      and gates wall-clock on hosts with >= 2 CPUs"
+        "usage: experiments [--quick|--standard|--full] [--sequential] [EXPERIMENT-ID ...]\n\
+         \x20      experiments --profile [OUT.json] [--check-baseline BENCH_kernel.json]\n\
+         \x20      experiments --check-scaling [OUT.json]\n\
+         \x20      sweeps run their points in parallel, one worker per CPU; --sequential\n\
+         \x20      runs them one by one with byte-identical output\n\
+         \x20      --check-scaling sweeps the profile suite's points serially and in\n\
+         \x20      parallel, alternating, asserts identical reports, and gates the median\n\
+         \x20      speedup on hosts with >= 2 CPUs"
     );
     println!("experiments:");
     for e in all_experiments() {

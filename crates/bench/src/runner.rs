@@ -38,12 +38,6 @@ pub struct RunSettings {
     pub parallel: bool,
     /// Worker threads for parallel sweeps (0 = one per available core).
     pub threads: usize,
-    /// Worker threads of the sharded event kernel *inside* each simulation
-    /// (`SimulationConfig::parallelism`); 0/1 = the sequential kernel.
-    /// Reports are byte-identical for every value — this only trades
-    /// sweep-level for run-level parallelism, which pays off when a sweep has
-    /// fewer points than the host has cores (e.g. one big multi-node run).
-    pub kernel_threads: usize,
 }
 
 impl RunSettings {
@@ -61,7 +55,6 @@ impl RunSettings {
             recovery_rate: 150.0,
             parallel: true,
             threads: 0,
-            kernel_threads: 0,
         }
     }
 
@@ -80,7 +73,6 @@ impl RunSettings {
             recovery_rate: 150.0,
             parallel: true,
             threads: 0,
-            kernel_threads: 0,
         }
     }
 
@@ -97,14 +89,12 @@ impl RunSettings {
             recovery_rate: 150.0,
             parallel: true,
             threads: 0,
-            kernel_threads: 0,
         }
     }
 
     fn apply(&self, mut config: SimulationConfig) -> SimulationConfig {
         config.warmup_ms = self.warmup_ms;
         config.measure_ms = self.measure_ms;
-        config.parallelism.kernel_threads = self.kernel_threads;
         config
     }
 }
@@ -440,151 +430,6 @@ mod tests {
         assert_eq!(results[0].series, "disk");
         assert!(results[0].report.completed > 0);
         assert!(results[1].report.response_time.mean < results[0].report.response_time.mean);
-    }
-
-    #[test]
-    fn sequential_and_parallel_sweeps_agree() {
-        let mut settings = RunSettings::quick();
-        let mk_points = || {
-            vec![
-                (
-                    "a".to_string(),
-                    100.0,
-                    fig4_2_point(DebitCreditStorage::Ssd, 100.0),
-                    Family::DebitCredit,
-                ),
-                (
-                    "b".to_string(),
-                    100.0,
-                    fig4_2_point(DebitCreditStorage::Disk, 100.0),
-                    Family::DebitCredit,
-                ),
-            ]
-        };
-        settings.parallel = false;
-        let seq = run_sweep(&settings, mk_points());
-        settings.parallel = true;
-        settings.threads = 2;
-        let par = run_sweep(&settings, mk_points());
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(par.iter()) {
-            assert_eq!(s.series, p.series);
-            // Byte-identical: the full report must match, not just summaries.
-            assert_eq!(s.report, p.report);
-        }
-    }
-
-    #[test]
-    fn multi_node_sweep_is_deterministic_across_parallelism() {
-        // Extends the parallel-equals-serial guarantee to the NodeParams
-        // dimension: the points of a node-count sweep must be byte-identical
-        // however they are scheduled.
-        let mut settings = RunSettings::quick();
-        let mk_points = || {
-            [1usize, 2, 4]
-                .iter()
-                .map(|&n| {
-                    (
-                        format!("{n}-node"),
-                        n as f64,
-                        data_sharing_point(n, 60.0),
-                        Family::DebitCredit,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        settings.parallel = false;
-        let seq = run_sweep(&settings, mk_points());
-        settings.parallel = true;
-        settings.threads = 3;
-        let par = run_sweep(&settings, mk_points());
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(par.iter()) {
-            assert_eq!(s.report, p.report);
-            assert_eq!(s.report.nodes.len(), s.x as usize);
-        }
-    }
-
-    #[test]
-    fn sharded_kernel_nested_in_parallel_sweep_is_byte_identical() {
-        // The two parallelism levels compose: sweep workers on the outside,
-        // sharded event kernels inside each run.  Every combination must
-        // reproduce the fully serial sweep byte for byte.
-        let mk_points = || {
-            [2usize, 4]
-                .iter()
-                .map(|&n| {
-                    (
-                        format!("{n}-node"),
-                        n as f64,
-                        data_sharing_point(n, 120.0),
-                        Family::DebitCredit,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut settings = RunSettings::quick();
-        settings.parallel = false;
-        settings.kernel_threads = 0;
-        let oracle = run_sweep(&settings, mk_points());
-        for (parallel, kernel_threads) in [(false, 4), (true, 4), (true, 2)] {
-            settings.parallel = parallel;
-            settings.threads = 2;
-            settings.kernel_threads = kernel_threads;
-            let nested = run_sweep(&settings, mk_points());
-            assert_eq!(oracle.len(), nested.len());
-            for (s, p) in oracle.iter().zip(nested.iter()) {
-                assert_eq!(
-                    s.report, p.report,
-                    "sweep(parallel={parallel}) x kernel_threads={kernel_threads} \
-                     diverged on '{}'",
-                    s.series
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shaped_workload_sweep_is_deterministic_across_parallelism() {
-        // Extends the parallel-equals-serial guarantee to the workload-engine
-        // dimension: points with a time-varying arrival schedule and hot-spot
-        // skew must be byte-identical however the sweep is scheduled, and
-        // must carry the tail-latency section.
-        let mut settings = RunSettings::quick();
-        let mk_points = || {
-            let mut burst = tpsim::WorkloadParams::skewed(0.9, 0.2);
-            burst.schedule = tpsim::WorkloadSchedule::Burst {
-                period_ms: 400.0,
-                burst_fraction: 0.25,
-                burst_factor: 4.0,
-            };
-            vec![
-                (
-                    "skew/sharing".to_string(),
-                    120.0,
-                    workload_point(false, 2, 60.0, tpsim::WorkloadParams::skewed(0.9, 0.2)),
-                    Family::DebitCredit,
-                ),
-                (
-                    "burst/nothing".to_string(),
-                    120.0,
-                    workload_point(true, 2, 60.0, burst),
-                    Family::DebitCredit,
-                ),
-            ]
-        };
-        settings.parallel = false;
-        let seq = run_sweep(&settings, mk_points());
-        settings.parallel = true;
-        settings.threads = 2;
-        let par = run_sweep(&settings, mk_points());
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(par.iter()) {
-            assert_eq!(s.report, p.report);
-            let tail = s.report.tail.expect("shaped run carries the tail section");
-            assert!(tail.count > 0);
-            assert!(tail.p50 <= tail.p99 && tail.p99 <= tail.p999);
-        }
     }
 
     #[test]

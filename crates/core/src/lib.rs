@@ -47,8 +47,8 @@ pub mod tables;
 
 pub use config::{
     Architecture, CmParams, CoherenceParams, CoherenceProtocol, ForcePolicy, LogAllocation,
-    LogTruncation, NodeParams, PageTransfer, ParallelismParams, PartitioningParams, RecoveryParams,
-    SimulationConfig, WorkloadParams, WorkloadSchedule,
+    LogTruncation, NodeParams, PageTransfer, PartitioningParams, RecoveryParams, SimulationConfig,
+    WorkloadParams, WorkloadSchedule,
 };
 pub use engine::Simulation;
 pub use metrics::{

@@ -35,7 +35,7 @@ use storage::{DeviceSpec, DiskUnitKind, DiskUnitParams, IoSchedulerParams, NvemP
 
 use crate::config::{
     Architecture, CmParams, CoherenceParams, ForcePolicy, LogAllocation, LogTruncation, NodeParams,
-    ParallelismParams, PartitioningParams, RecoveryParams, SimulationConfig, WorkloadParams,
+    PartitioningParams, RecoveryParams, SimulationConfig, WorkloadParams,
 };
 
 /// Index of the database disk unit in every preset that uses disks.
@@ -196,7 +196,6 @@ pub fn debit_credit_config(storage: DebitCreditStorage, arrival_rate_tps: f64) -
         recovery: RecoveryParams::disabled(),
         buffer,
         cc_modes: debit_credit_cc_modes(),
-        parallelism: ParallelismParams::default(),
         coherence: CoherenceParams::default(),
         io_scheduler: IoSchedulerParams::default(),
         workload: WorkloadParams::default(),
@@ -557,7 +556,6 @@ pub fn trace_config(
         recovery: RecoveryParams::disabled(),
         buffer,
         cc_modes,
-        parallelism: ParallelismParams::default(),
         coherence: CoherenceParams::default(),
         io_scheduler: IoSchedulerParams::default(),
         workload: WorkloadParams::default(),
@@ -647,7 +645,6 @@ pub fn contention_config(
         recovery: RecoveryParams::disabled(),
         buffer,
         cc_modes: vec![granularity; 2],
-        parallelism: ParallelismParams::default(),
         coherence: CoherenceParams::default(),
         io_scheduler: IoSchedulerParams::default(),
         workload: WorkloadParams::default(),

@@ -1,170 +1,169 @@
-//! Parallel-kernel equivalence suite: the sharded conservative-lookahead
-//! kernel must produce **byte-identical** reports to the sequential engine
-//! for every configuration, seed and thread count.
+//! Sweep-level parallelism equivalence: `runner::run_sweep` must produce
+//! the same `SimulationReport` for every point whether the points run one
+//! by one or spread over a worker pool.
 //!
-//! This is the oracle that makes the parallel kernel safe to ship: handlers
-//! run serially on the coordinator in the sequential kernel's exact global
-//! `(time, seq)` order, so any divergence at all — one transaction, one
-//! `f64` statistic, one histogram bucket — is a kernel bug, not a tolerance
-//! question.  Every assertion here compares complete `{:#?}` report
-//! renderings with `assert_eq!` on the strings.
+//! Each point is an independent simulation whose seed comes from
+//! `derive_run_seed(base, index)`, never from the worker that ran it, so any
+//! difference at all (one transaction, one `f64` statistic, one histogram
+//! bucket) is a runner bug, not a tolerance question.
 //!
-//! The configurations mirror the byte-identity goldens in `paper_shape.rs`
-//! (quickstart, fig5.x 8-node, fig6.x crash/replay, fig7.x shared-nothing),
-//! plus a randomized tie-heavy sweep that stresses horizon-boundary ordering
-//! with odd worker counts and extreme lookahead overrides.
+//! The point list covers the byte-identity goldens in `paper_shape.rs`
+//! (quickstart on disk and on NVEM, fig5.x 8-node, fig7.x 4-node shared
+//! nothing, the fig10.x burst + Zipf point and fig6.x crash/replay) plus a
+//! node-count sweep and two shaped-workload points.  It runs serially, then
+//! on 2 and on 3 workers; 3 spreads the points unevenly over the workers.
 
 use tpsim::presets::{
-    data_sharing_config, debit_credit_config, debit_credit_workload, recovery_config,
-    shared_nothing_config, DebitCreditStorage,
+    data_sharing_config, debit_credit_config, recovery_config, shared_nothing_config,
+    DebitCreditStorage,
 };
-use tpsim::{Simulation, SimulationConfig, WorkloadParams, WorkloadSchedule};
+use tpsim::{SimulationConfig, SimulationReport, WorkloadParams, WorkloadSchedule};
+use tpsim_bench::runner::{self, Family, RunSettings};
 
-/// Thread counts exercised against every configuration.  `1` routes through
-/// the sequential kernel (the parallel dispatch must be a no-op); the rest
-/// use the sharded kernel with as many workers as the node count allows.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Renders one complete run of `config` with the given kernel thread count.
-fn report_string(
-    mut config: SimulationConfig,
-    clients: u64,
-    crash_at_ms: Option<f64>,
-    threads: usize,
-) -> String {
-    config.parallelism.kernel_threads = threads;
-    let mut sim = Simulation::new(config, debit_credit_workload(clients));
-    if let Some(at_ms) = crash_at_ms {
-        sim = sim.simulate_crash_at(at_ms);
-    }
-    format!("{:#?}", sim.run())
+/// One sweep point plus the extra property its report must show.
+struct Row {
+    series: &'static str,
+    config: SimulationConfig,
+    family: Family,
+    check: fn(&SimulationReport),
 }
 
-/// Asserts that every thread count in [`THREAD_COUNTS`] reproduces the
-/// sequential (`kernel_threads == 0`) report byte for byte.
-fn assert_thread_count_invariant(
-    label: &str,
-    config: &SimulationConfig,
-    clients: u64,
-    crash_at_ms: Option<f64>,
-) {
-    let sequential = report_string(config.clone(), clients, crash_at_ms, 0);
-    for threads in THREAD_COUNTS {
-        let parallel = report_string(config.clone(), clients, crash_at_ms, threads);
-        assert_eq!(
-            sequential, parallel,
-            "'{label}' diverged from the sequential oracle at kernel_threads={threads}: \
-             the sharded kernel must be byte-identical for every thread count"
-        );
-    }
-}
-
-/// The quickstart configurations: single-node, so every thread count
-/// degenerates to one worker — the dispatch itself must not perturb the run.
-#[test]
-fn quickstart_reports_are_thread_count_invariant() {
-    for storage in [DebitCreditStorage::Disk, DebitCreditStorage::NvemResident] {
-        let mut config = debit_credit_config(storage, 100.0);
-        config.warmup_ms = 1_000.0;
-        config.measure_ms = 5_000.0;
-        assert_thread_count_invariant(
-            &format!("quickstart/{}", storage.label()),
-            &config,
-            50,
-            None,
-        );
-    }
-}
-
-/// The fig5.x 8-node data-sharing point: eight shards, the main scaling
-/// configuration (cross-node coherency traffic, shared storage complex).
-#[test]
-fn fig5x_8_node_report_is_thread_count_invariant() {
-    let mut config = data_sharing_config(8, 8.0 * 60.0);
-    config.warmup_ms = 1_000.0;
-    config.measure_ms = 4_000.0;
-    assert_thread_count_invariant("fig5.x/8-node", &config, 100, None);
-}
-
-/// The fig7.x 4-node shared-nothing point: function shipping means remote
-/// events constantly cross shard boundaries inside the lookahead window.
-#[test]
-fn fig7x_shared_nothing_report_is_thread_count_invariant() {
-    let mut config = shared_nothing_config(4, 4.0 * 60.0);
-    config.warmup_ms = 1_000.0;
-    config.measure_ms = 4_000.0;
-    assert_thread_count_invariant("fig7.x/4-node shared-nothing", &config, 100, None);
-}
-
-/// The fig10.x shaped-workload point: a bursty arrival schedule (drawn by
-/// inverting the piecewise rate integral) plus hot-spot-skewed page
-/// accesses, with the per-node tail sketches merged into the report.  The
-/// schedule inversion and the sketch section must be thread-count invariant
-/// like every other report field.
-#[test]
-fn fig10x_shaped_workload_report_is_thread_count_invariant() {
-    let mut config = data_sharing_config(2, 2.0 * 60.0);
-    config.warmup_ms = 1_000.0;
-    config.measure_ms = 4_000.0;
-    config.workload = WorkloadParams::skewed(0.9, 0.2);
-    config.workload.schedule = WorkloadSchedule::Burst {
-        period_ms: 1_000.0,
+/// A bursty arrival schedule over a Zipf 0.9 hot set.
+fn burst_over_hot_set(period_ms: f64) -> WorkloadParams {
+    let mut workload = WorkloadParams::skewed(0.9, 0.2);
+    workload.schedule = WorkloadSchedule::Burst {
+        period_ms,
         burst_fraction: 0.25,
         burst_factor: 4.0,
     };
-    assert_thread_count_invariant("fig10.x/shaped-workload", &config, 100, None);
+    workload
 }
 
-/// The fig6.x crash/replay point: checkpoints, a mid-run crash and the
-/// restart replay all ride the control shard; the crash teardown path must
-/// drain identically under the round protocol.
-#[test]
-fn fig6x_crash_replay_report_is_thread_count_invariant() {
-    let mut config = recovery_config(false, false, 400.0, 120.0);
-    config.warmup_ms = 300.0;
-    config.measure_ms = 1_500.0;
-    assert_thread_count_invariant("fig6.x/crash-replay", &config, 200, Some(1_600.0));
+/// Shaped runs carry a non-empty, monotone tail section.
+fn has_monotone_tail(r: &SimulationReport) {
+    let tail = r.tail.expect("shaped run carries the tail section");
+    assert!(tail.count > 0);
+    assert!(tail.p50 <= tail.p99 && tail.p99 <= tail.p999);
 }
 
-/// Randomized tie-heavy sweep: short, hot multi-node runs with varied seeds,
-/// odd worker counts (uneven shard→worker folding) and extreme lookahead
-/// overrides.  High arrival rates against short windows pile events onto
-/// identical timestamps (group-commit flushes, zero-delay wakeups), so the
-/// `(time, seq)` tie-break is exercised at every horizon boundary; the
-/// lookahead extremes force both many tiny rounds and one giant round.
-#[test]
-fn randomized_tie_heavy_configs_match_sequential_oracle() {
-    // Deterministic "random" parameter draws: a tiny LCG, so the sweep is
-    // reproducible without pulling a PRNG into the dev-dependencies.
-    let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    for case in 0..6u32 {
-        let nodes = [2, 3, 5, 8][next() as usize % 4];
-        let per_node_tps = 120.0 + (next() % 200) as f64;
-        let threads = [2, 3, 5, 7][next() as usize % 4];
-        // 0.0 derives the lookahead from the modelled delays; the extremes
-        // override it to "every event is its own round" and "one round for
-        // the whole run" — all three must agree bit for bit.
-        let lookahead_ms = [0.0, 0.05, 1.0e9][next() as usize % 3];
-        let mut config = data_sharing_config(nodes, nodes as f64 * per_node_tps);
-        config.warmup_ms = 200.0;
-        config.measure_ms = 800.0;
-        config.seed = next();
-        config.parallelism.lookahead_ms = lookahead_ms;
+fn no_check(_: &SimulationReport) {}
 
-        let sequential = report_string(config.clone(), 80, None, 0);
-        let parallel = report_string(config.clone(), 80, None, threads);
-        assert_eq!(
-            sequential, parallel,
-            "randomized case {case} (nodes={nodes}, tps/node={per_node_tps}, \
-             threads={threads}, lookahead={lookahead_ms}ms, seed={}) diverged \
-             from the sequential oracle",
-            config.seed
+fn rows() -> Vec<Row> {
+    let mut fig10 = data_sharing_config(2, 2.0 * 60.0);
+    fig10.workload = burst_over_hot_set(1_000.0);
+    vec![
+        Row {
+            series: "quickstart/disk",
+            config: debit_credit_config(DebitCreditStorage::Disk, 100.0),
+            family: Family::DebitCredit,
+            check: no_check,
+        },
+        Row {
+            series: "quickstart/nvem",
+            config: debit_credit_config(DebitCreditStorage::NvemResident, 100.0),
+            family: Family::DebitCredit,
+            check: no_check,
+        },
+        Row {
+            series: "fig4.2/ssd",
+            config: debit_credit_config(DebitCreditStorage::Ssd, 100.0),
+            family: Family::DebitCredit,
+            check: no_check,
+        },
+        Row {
+            series: "fig5.x/8-node",
+            config: data_sharing_config(8, 8.0 * 60.0),
+            family: Family::DebitCredit,
+            check: |r| assert_eq!(r.nodes.len(), 8),
+        },
+        Row {
+            series: "fig7.x/4-node shared nothing",
+            config: shared_nothing_config(4, 4.0 * 60.0),
+            family: Family::DebitCredit,
+            check: |r| assert_eq!(r.nodes.len(), 4),
+        },
+        Row {
+            series: "fig10.x/burst+zipf",
+            config: fig10,
+            family: Family::DebitCredit,
+            check: has_monotone_tail,
+        },
+        Row {
+            series: "fig6.x/crash-replay",
+            config: recovery_config(false, false, 400.0, 120.0),
+            family: Family::RecoveryCrash,
+            check: |r| assert!(r.recovery.is_some()),
+        },
+        Row {
+            series: "fig5.x/1-node",
+            config: runner::data_sharing_point(1, 60.0),
+            family: Family::DebitCredit,
+            check: |r| assert_eq!(r.nodes.len(), 1),
+        },
+        Row {
+            series: "fig5.x/2-node",
+            config: runner::data_sharing_point(2, 60.0),
+            family: Family::DebitCredit,
+            check: |r| assert_eq!(r.nodes.len(), 2),
+        },
+        Row {
+            series: "fig5.x/4-node",
+            config: runner::data_sharing_point(4, 60.0),
+            family: Family::DebitCredit,
+            check: |r| assert_eq!(r.nodes.len(), 4),
+        },
+        Row {
+            series: "fig10.x/skew sharing",
+            config: runner::workload_point(false, 2, 60.0, WorkloadParams::skewed(0.9, 0.2)),
+            family: Family::DebitCredit,
+            check: has_monotone_tail,
+        },
+        Row {
+            series: "fig10.x/burst nothing",
+            config: runner::workload_point(true, 2, 60.0, burst_over_hot_set(400.0)),
+            family: Family::DebitCredit,
+            check: has_monotone_tail,
+        },
+    ]
+}
+
+fn sweep(workers: Option<usize>) -> Vec<runner::SweepPoint> {
+    // `RunSettings::apply` overwrites each config's warm-up and measurement
+    // times with the quick settings' ones.
+    let mut settings = RunSettings::quick();
+    settings.parallel = workers.is_some();
+    settings.threads = workers.unwrap_or(0);
+    let points = rows()
+        .into_iter()
+        .map(|r| (r.series.to_string(), 0.0, r.config, r.family))
+        .collect();
+    runner::run_sweep(&settings, points)
+}
+
+#[test]
+fn parallel_sweeps_match_the_serial_sweep_point_by_point() {
+    let rows = rows();
+    let serial = sweep(None);
+    assert_eq!(serial.len(), rows.len());
+    for (row, point) in rows.iter().zip(&serial) {
+        assert_eq!(point.series, row.series);
+        assert!(
+            point.report.completed > 0,
+            "'{}' completed nothing",
+            row.series
         );
+        (row.check)(&point.report);
+    }
+    for workers in [2, 3] {
+        let parallel = sweep(Some(workers));
+        assert_eq!(parallel.len(), serial.len());
+        for (s, p) in serial.iter().zip(&parallel) {
+            assert_eq!(s.series, p.series);
+            assert_eq!(
+                s.report, p.report,
+                "'{}' diverged from the serial sweep on {workers} workers",
+                s.series
+            );
+        }
     }
 }
