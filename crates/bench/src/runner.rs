@@ -433,6 +433,112 @@ mod tests {
     }
 
     #[test]
+    fn sequential_and_parallel_sweeps_agree() {
+        let mut settings = RunSettings::quick();
+        let mk_points = || {
+            vec![
+                (
+                    "a".to_string(),
+                    100.0,
+                    fig4_2_point(DebitCreditStorage::Ssd, 100.0),
+                    Family::DebitCredit,
+                ),
+                (
+                    "b".to_string(),
+                    100.0,
+                    fig4_2_point(DebitCreditStorage::Disk, 100.0),
+                    Family::DebitCredit,
+                ),
+            ]
+        };
+        settings.parallel = false;
+        let seq = run_sweep(&settings, mk_points());
+        settings.parallel = true;
+        settings.threads = 2;
+        let par = run_sweep(&settings, mk_points());
+        assert_eq!(seq.len(), par.len());
+        for (s, p) in seq.iter().zip(par.iter()) {
+            assert_eq!(s.series, p.series);
+            // Byte-identical: the full report must match, not just summaries.
+            assert_eq!(s.report, p.report);
+        }
+    }
+
+    #[test]
+    fn multi_node_sweep_is_deterministic_across_parallelism() {
+        // Extends the parallel-equals-serial guarantee to the NodeParams
+        // dimension: the points of a node-count sweep must be byte-identical
+        // however they are scheduled.
+        let mut settings = RunSettings::quick();
+        let mk_points = || {
+            [1usize, 2, 4]
+                .iter()
+                .map(|&n| {
+                    (
+                        format!("{n}-node"),
+                        n as f64,
+                        data_sharing_point(n, 60.0),
+                        Family::DebitCredit,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        settings.parallel = false;
+        let seq = run_sweep(&settings, mk_points());
+        settings.parallel = true;
+        settings.threads = 3;
+        let par = run_sweep(&settings, mk_points());
+        assert_eq!(seq.len(), par.len());
+        for (s, p) in seq.iter().zip(par.iter()) {
+            assert_eq!(s.report, p.report);
+            assert_eq!(s.report.nodes.len(), s.x as usize);
+        }
+    }
+
+    #[test]
+    fn shaped_workload_sweep_is_deterministic_across_parallelism() {
+        // Extends the parallel-equals-serial guarantee to the workload-engine
+        // dimension: points with a time-varying arrival schedule and hot-spot
+        // skew must be byte-identical however the sweep is scheduled, and
+        // must carry the tail-latency section.
+        let mut settings = RunSettings::quick();
+        let mk_points = || {
+            let mut burst = tpsim::WorkloadParams::skewed(0.9, 0.2);
+            burst.schedule = tpsim::WorkloadSchedule::Burst {
+                period_ms: 400.0,
+                burst_fraction: 0.25,
+                burst_factor: 4.0,
+            };
+            vec![
+                (
+                    "skew/sharing".to_string(),
+                    120.0,
+                    workload_point(false, 2, 60.0, tpsim::WorkloadParams::skewed(0.9, 0.2)),
+                    Family::DebitCredit,
+                ),
+                (
+                    "burst/nothing".to_string(),
+                    120.0,
+                    workload_point(true, 2, 60.0, burst),
+                    Family::DebitCredit,
+                ),
+            ]
+        };
+        settings.parallel = false;
+        let seq = run_sweep(&settings, mk_points());
+        settings.parallel = true;
+        settings.threads = 2;
+        let par = run_sweep(&settings, mk_points());
+        assert_eq!(seq.len(), par.len());
+        for (s, p) in seq.iter().zip(par.iter()) {
+            assert_eq!(s.report, p.report);
+            let tail = s.report.tail.expect("shaped run carries the tail section");
+            assert!(tail.count > 0);
+            assert!(tail.p50 <= tail.p99 && tail.p99 <= tail.p999);
+        }
+    }
+
+    #[test]
     fn per_run_seeds_are_deterministic_and_decorrelated() {
         assert_eq!(derive_run_seed(1, 0), derive_run_seed(1, 0));
         assert_ne!(derive_run_seed(1, 0), derive_run_seed(1, 1));
