@@ -177,24 +177,13 @@ fn run_profile_mode(profile_out: Option<String>, baseline_path: Option<String>) 
             p.id, p.events, p.wall_ms, p.events_per_sec, p.fanout_us_per_commit
         );
     }
-    if fresh.iter().any(|p| p.sched.is_some()) {
+    if fresh.iter().any(|p| p.sched_coalesced.is_some()) {
         println!();
-        println!("# request-scheduler counters (simulated, summed over devices)");
-        println!(
-            "{:<26} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            "point", "queue depth", "coalesced", "merged adj.", "pf hits", "pf wasted"
-        );
+        println!("# coalesced reads (simulated, summed over devices)");
+        println!("{:<26} {:>12}", "point", "coalesced");
         for p in &fresh {
-            let Some(s) = &p.sched else { continue };
-            println!(
-                "{:<26} {:>12.3} {:>12} {:>12} {:>12} {:>12}",
-                p.id,
-                s.mean_queue_depth,
-                s.coalesced,
-                s.merged_adjacent,
-                s.prefetch_hits,
-                s.prefetch_wasted
-            );
+            let Some(n) = p.sched_coalesced else { continue };
+            println!("{:<26} {:>12}", p.id, n);
         }
     }
     if let Some(out) = profile_out {

@@ -38,45 +38,17 @@ pub struct ProfilePoint {
     /// Wall-clock microseconds per commit-time coherence fan-out (0 when the
     /// run had no such fan-outs, e.g. single-node points).
     pub fanout_us_per_commit: f64,
-    /// Per-device request-scheduler counters of the simulated run, summed
-    /// over the devices (`None` when the point runs with the scheduler
-    /// disabled).  Simulated results, not wall-clock: byte-identical across
-    /// reps.
-    pub sched: Option<SchedulerProfile>,
+    /// Reads of the simulated run that joined an in-flight read of the same
+    /// page, summed over the devices (`None` when the point runs without
+    /// read coalescing).  A simulated result, not wall-clock: byte-identical
+    /// across reps.
+    pub sched_coalesced: Option<u64>,
 }
 
-/// Request-scheduler counters of one profile point, summed over the point's
-/// devices (the queue depth is the worst per-device mean).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SchedulerProfile {
-    /// Worst per-device mean pending read-queue depth.
-    pub mean_queue_depth: f64,
-    /// Reads that joined an existing pending or in-flight request.
-    pub coalesced: u64,
-    /// Extra pages carried by merged adjacent-page accesses.
-    pub merged_adjacent: u64,
-    /// Prefetched pages that were referenced before leaving the pool.
-    pub prefetch_hits: u64,
-    /// Prefetched pages dropped unreferenced (or already resident).
-    pub prefetch_wasted: u64,
-}
-
-/// Sums the per-device scheduler sections of a report into one
-/// [`SchedulerProfile`]; `None` when no device ran a scheduler.
-fn scheduler_profile(report: &SimulationReport) -> Option<SchedulerProfile> {
-    let mut sched = SchedulerProfile::default();
-    let mut any = false;
-    for d in &report.devices {
-        if let Some(s) = &d.scheduler {
-            any = true;
-            sched.mean_queue_depth = sched.mean_queue_depth.max(s.mean_queue_depth);
-            sched.coalesced += s.coalesced;
-            sched.merged_adjacent += s.merged_adjacent;
-            sched.prefetch_hits += s.prefetch_hits;
-            sched.prefetch_wasted += s.prefetch_wasted;
-        }
-    }
-    any.then_some(sched)
+/// Sums the per-device coalesced-read counts of a report; `None` when the
+/// run did not coalesce reads.
+fn coalesced_reads(report: &SimulationReport) -> Option<u64> {
+    report.devices.iter().map(|d| d.coalesced_reads).sum()
 }
 
 /// The fixed configurations of the profile suite, as `(id, config, family)`.
@@ -103,17 +75,7 @@ fn suite_points() -> Vec<(String, SimulationConfig, Family)> {
     ));
     points.push((
         "fig11.x/8-nodes-sched".to_string(),
-        runner::scheduler_point(
-            8,
-            60.0,
-            storage::IoSchedulerParams {
-                coalesce: true,
-                elevator: true,
-                prefetch_depth: 4,
-                ..storage::IoSchedulerParams::default()
-            },
-            false,
-        ),
+        runner::scheduler_point(8, 60.0, true, false),
         Family::DebitCredit,
     ));
     points
@@ -127,7 +89,7 @@ fn profile_point(id: &str, report: &SimulationReport, p: &KernelProfile) -> Prof
         wall_ms: p.wall_ms,
         events_per_sec: p.events_per_sec,
         fanout_us_per_commit: p.fanout_us_per_commit(),
-        sched: scheduler_profile(report),
+        sched_coalesced: coalesced_reads(report),
     }
 }
 
@@ -173,19 +135,10 @@ pub struct HistoryEntry {
 fn render_points(out: &mut String, points: &[ProfilePoint], indent: &str) {
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
-        // Scheduler counters ride along only on scheduler-enabled points;
-        // the baseline parser extracts keys by name and ignores them.
-        let sched = match &p.sched {
-            Some(s) => format!(
-                ", \"sched_queue_depth\": {:.3}, \"sched_coalesced\": {}, \
-                 \"sched_merged_adjacent\": {}, \"sched_prefetch_hits\": {}, \
-                 \"sched_prefetch_wasted\": {}",
-                s.mean_queue_depth,
-                s.coalesced,
-                s.merged_adjacent,
-                s.prefetch_hits,
-                s.prefetch_wasted
-            ),
+        // The coalesced-read count rides along only on coalescing points;
+        // the baseline parser extracts keys by name and ignores it.
+        let sched = match p.sched_coalesced {
+            Some(n) => format!(", \"sched_coalesced\": {n}"),
             None => String::new(),
         };
         let _ = writeln!(
@@ -450,13 +403,7 @@ mod tests {
                 wall_ms: 50.0,
                 events_per_sec: 20_000_000.0,
                 fanout_us_per_commit: 1.25,
-                sched: Some(SchedulerProfile {
-                    mean_queue_depth: 2.5,
-                    coalesced: 10,
-                    merged_adjacent: 4,
-                    prefetch_hits: 7,
-                    prefetch_wasted: 1,
-                }),
+                sched_coalesced: Some(10),
             },
             ProfilePoint {
                 id: "quickstart/disk".to_string(),
@@ -464,7 +411,7 @@ mod tests {
                 wall_ms: 10.5,
                 events_per_sec: 11_757_714.0,
                 fanout_us_per_commit: 0.0,
-                sched: None,
+                sched_coalesced: None,
             },
         ]
     }
@@ -479,17 +426,17 @@ mod tests {
                 wall_ms: 100.0,
                 events_per_sec: 10_000_000.0,
                 fanout_us_per_commit: 2.5,
-                sched: None,
+                sched_coalesced: None,
             }],
         }];
         let json = render_bench_json(&sample_points(), &history);
         // The fan-out column rides along in every point; the baseline parser
         // must keep working with (and ignoring) it.
         assert!(json.contains("\"fanout_us_per_commit\": 1.250"));
-        // Scheduler counters appear only on scheduler-enabled points; the
-        // parser must likewise ignore them.
+        // The coalesced-read count appears only on coalescing points; the
+        // parser must likewise ignore it.
         assert!(json.contains("\"sched_coalesced\": 10"));
-        assert!(json.contains("\"sched_queue_depth\": 2.500"));
+        assert_eq!(json.matches("sched_").count(), 1);
         let parsed = parse_baseline(&json).expect("parse own output");
         // Only the top-level points, not the history snapshot.
         assert_eq!(parsed.len(), 2);

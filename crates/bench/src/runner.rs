@@ -347,18 +347,18 @@ pub fn coherence_point(
     c
 }
 
-/// Configuration of one I/O-scheduler-policy point (`fig11.x`): the fig5.x
-/// data-sharing workload with an explicit per-device request-scheduler
-/// policy, optionally with the log moved to NVEM so the log disk stops
-/// masking the data-disk read queue.
+/// Configuration of one read-coalescing point (`fig11.x`): the fig5.x
+/// data-sharing workload with same-page read coalescing on or off,
+/// optionally with the log moved to NVEM so the log disk stops masking the
+/// data-disk read queue.
 pub fn scheduler_point(
     num_nodes: usize,
     per_node_rate: f64,
-    params: storage::IoSchedulerParams,
+    coalesce_reads: bool,
     nvem_log: bool,
 ) -> SimulationConfig {
     let mut c = data_sharing_point(num_nodes, per_node_rate);
-    c.io_scheduler = params;
+    c.coalesce_reads = coalesce_reads;
     if nvem_log {
         c.log_allocation = tpsim::LogAllocation::Nvem;
     }
@@ -543,5 +543,33 @@ mod tests {
         assert_eq!(derive_run_seed(1, 0), derive_run_seed(1, 0));
         assert_ne!(derive_run_seed(1, 0), derive_run_seed(1, 1));
         assert_ne!(derive_run_seed(1, 0), derive_run_seed(2, 0));
+    }
+
+    #[test]
+    fn coalescing_beats_fcfs_at_the_8_node_nvem_log_point() {
+        // fig11.x's point where coalescing pays: eight nodes sharing the DB
+        // disks, log on NVEM.  Same seed for both runs, so the only
+        // difference is whether same-page reads join an in-flight read.
+        let settings = RunSettings::standard();
+        let run = |coalesce| {
+            let mut config = scheduler_point(8, 60.0, coalesce, true);
+            config.seed = 1;
+            run_point_profiled(&settings, config, Family::DebitCredit).0
+        };
+        let fcfs = run(false);
+        let coalesced = run(true);
+        assert!(fcfs.devices.iter().all(|d| d.coalesced_reads.is_none()));
+        let joined: u64 = coalesced
+            .devices
+            .iter()
+            .filter_map(|d| d.coalesced_reads)
+            .sum();
+        assert!(joined > 0, "no read joined an in-flight read");
+        assert!(
+            coalesced.response_time.mean < fcfs.response_time.mean,
+            "coalescing {:.2} ms vs FCFS {:.2} ms",
+            coalesced.response_time.mean,
+            fcfs.response_time.mean
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! replicated (FORCE) NVEM caching, and commit-time forcing of modified pages.
 
 use dbmodel::PageId;
-use storage::{LruCache, LruKTracker};
+use storage::LruCache;
 
 use crate::config::{BufferConfig, PageLocation, UpdateStrategy};
 use crate::dirty::{DirtyPageTable, RecLsn};
@@ -18,25 +18,6 @@ use crate::stats::BufferStats;
 struct FrameState {
     partition: usize,
     dirty: bool,
-    /// The frame was filled by a speculative (prefetch) read and has not
-    /// been referenced yet.  The first reference clears it and counts a
-    /// prefetch hit; dropping the frame unreferenced counts it wasted.
-    prefetched: bool,
-}
-
-/// Outcome of admitting a speculatively read page
-/// ([`BufferManager::admit_prefetched`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchAdmit {
-    /// The page was inserted into the main-memory buffer.
-    Admitted,
-    /// A copy was already buffered; the speculative read bought nothing
-    /// (counted wasted).
-    AlreadyResident,
-    /// The buffer is full and every victim candidate is dirty: speculative
-    /// data never evicts dirty pages, so the page was dropped (counted
-    /// wasted).
-    Rejected,
 }
 
 /// State of a page in the second-level NVEM cache.
@@ -53,11 +34,6 @@ struct NvemEntry {
 pub struct BufferManager {
     config: BufferConfig,
     mm: LruCache<PageId, FrameState>,
-    /// LRU-K access history for the main-memory buffer, active only when
-    /// `config.lru_k > 1`; with K = 1 victim selection uses the buffer's
-    /// intrinsic LRU chain, bit-for-bit as before.  Kept strictly in sync
-    /// with `mm`'s key set.
-    lru_k: Option<LruKTracker<PageId>>,
     nvem_cache: Option<LruCache<PageId, NvemEntry>>,
     write_buffer: Option<LruCache<PageId, u32>>,
     /// Committed-but-unpropagated updates for crash recovery; fed by the
@@ -69,15 +45,6 @@ pub struct BufferManager {
     /// remote commit superseded its redo entry).  Kept outside
     /// [`BufferStats`] so report renderings stay byte-identical.
     dpt_only_clears: u64,
-    /// Per-partition count of prefetched frames whose first reference was a
-    /// main-memory hit.  Kept outside [`BufferStats`] (like
-    /// `dpt_only_clears`) so report renderings stay byte-identical; the
-    /// engine folds these into the per-device scheduler report.
-    prefetch_hits: Vec<u64>,
-    /// Per-partition count of speculative reads that bought nothing: the
-    /// page was already resident at admission, admission was rejected, or
-    /// the prefetched frame was dropped without ever being referenced.
-    prefetch_wasted: Vec<u64>,
 }
 
 impl BufferManager {
@@ -96,19 +63,14 @@ impl BufferManager {
             && config.partitions.iter().any(|p| p.use_nvem_write_buffer))
         .then(|| LruCache::new(config.nvem_write_buffer_pages));
         let stats = BufferStats::new(config.partitions.len());
-        let lru_k = (config.lru_k > 1).then(|| LruKTracker::new(config.lru_k));
-        let partitions = config.partitions.len();
         Self {
             mm: LruCache::new(config.mm_buffer_pages),
-            lru_k,
             config,
             nvem_cache,
             write_buffer,
             dirty_table: DirtyPageTable::new(),
             stats,
             dpt_only_clears: 0,
-            prefetch_hits: vec![0; partitions],
-            prefetch_wasted: vec![0; partitions],
         }
     }
 
@@ -126,26 +88,12 @@ impl BufferManager {
     pub fn reset_stats(&mut self) {
         self.stats.reset();
         self.dpt_only_clears = 0;
-        self.prefetch_hits.iter_mut().for_each(|c| *c = 0);
-        self.prefetch_wasted.iter_mut().for_each(|c| *c = 0);
     }
 
     /// Invalidations that cleared only a dirty-page-table entry (no buffered
     /// copy was present any more); see [`BufferManager::invalidate_page`].
     pub fn dpt_only_clears(&self) -> u64 {
         self.dpt_only_clears
-    }
-
-    /// Per-partition count of prefetched frames whose first reference hit
-    /// in main memory (see [`BufferManager::admit_prefetched`]).
-    pub fn prefetch_hits(&self) -> &[u64] {
-        &self.prefetch_hits
-    }
-
-    /// Per-partition count of speculative reads that bought nothing (see
-    /// [`BufferManager::admit_prefetched`]).
-    pub fn prefetch_wasted(&self) -> &[u64] {
-        &self.prefetch_wasted
     }
 
     /// Number of pages in the main-memory buffer.
@@ -252,15 +200,7 @@ impl BufferManager {
         // Main-memory hit.
         if let Some(frame) = self.mm.get_mut(&page) {
             frame.dirty |= is_write;
-            let first_prefetch_use = frame.prefetched;
-            frame.prefetched = false;
-            if let Some(tracker) = self.lru_k.as_mut() {
-                tracker.record_access(page);
-            }
             self.stats.per_partition[partition].mm_hits += 1;
-            if first_prefetch_use {
-                self.prefetch_hits[partition] += 1;
-            }
             return FetchOutcome::hit();
         }
 
@@ -278,12 +218,8 @@ impl BufferManager {
             FrameState {
                 partition,
                 dirty: is_write,
-                prefetched: false,
             },
         );
-        if let Some(tracker) = self.lru_k.as_mut() {
-            tracker.record_access(page);
-        }
         FetchOutcome {
             main_memory_hit: false,
             nvem_cache_hit,
@@ -291,27 +227,15 @@ impl BufferManager {
         }
     }
 
-    /// Evicts one frame from main memory — the LRU frame with K = 1, the
-    /// largest-backward-K-distance frame under LRU-K — appending any
+    /// Evicts the least recently used frame from main memory, appending any
     /// write-back / migration operations to `ops`.
     fn evict_one(&mut self, ops: &mut Vec<PageOp>) {
-        let victim = match self.lru_k.as_mut() {
-            Some(tracker) => tracker
-                .evict()
-                .and_then(|page| self.mm.remove(&page).map(|state| (page, state))),
-            None => self.mm.pop_lru(),
-        };
-        let Some((vpage, vstate)) = victim else {
+        let Some((vpage, vstate)) = self.mm.pop_lru() else {
             return;
         };
         self.stats.mm_evictions += 1;
         if vstate.dirty {
             self.stats.dirty_evictions += 1;
-        }
-        if vstate.prefetched {
-            // The speculative read was paid for but the page left the
-            // buffer without ever being referenced.
-            self.prefetch_wasted[vstate.partition] += 1;
         }
         let vpolicy = self.config.policy(vstate.partition);
         match vpolicy.location {
@@ -471,56 +395,6 @@ impl BufferManager {
         );
     }
 
-    /// Admits a page a speculative (prefetch) read just brought in.  The
-    /// admission contract for speculative data is deliberately narrow:
-    ///
-    /// * a page that is already buffered is left untouched — the
-    ///   speculative read bought nothing (counted wasted),
-    /// * a full buffer only ever gives up a *clean* frame; if every frame
-    ///   is dirty the page is dropped rather than triggering write-backs
-    ///   or NVEM migrations on behalf of data nobody asked for (counted
-    ///   wasted),
-    /// * an admitted frame enters clean and flagged prefetched: its first
-    ///   reference counts a prefetch hit, dropping it unreferenced counts
-    ///   it wasted.
-    ///
-    /// Called by the engine when the speculative I/O *completes* — the page
-    /// is not buffered while the read is in flight (a demand miss in
-    /// between coalesces onto the in-flight request at the scheduler).
-    pub fn admit_prefetched(&mut self, partition: usize, page: PageId) -> PrefetchAdmit {
-        self.ensure_partition_stats(partition);
-        if self.mm.contains(&page) {
-            self.prefetch_wasted[partition] += 1;
-            return PrefetchAdmit::AlreadyResident;
-        }
-        if self.mm.is_full() {
-            let Some(victim) = self.mm.lru_matching(|f| !f.dirty) else {
-                self.prefetch_wasted[partition] += 1;
-                return PrefetchAdmit::Rejected;
-            };
-            let state = self.mm.remove(&victim).expect("matched victim present");
-            self.stats.mm_evictions += 1;
-            if state.prefetched {
-                self.prefetch_wasted[state.partition] += 1;
-            }
-            if let Some(tracker) = self.lru_k.as_mut() {
-                tracker.remove(&victim);
-            }
-        }
-        self.mm.insert(
-            page,
-            FrameState {
-                partition,
-                dirty: false,
-                prefetched: true,
-            },
-        );
-        if let Some(tracker) = self.lru_k.as_mut() {
-            tracker.record_access(page);
-        }
-        PrefetchAdmit::Admitted
-    }
-
     /// Commit-time forcing of a modified page (FORCE strategy).  Returns the
     /// operations the committing transaction must wait for (asynchronous disk
     /// updates excluded).
@@ -614,16 +488,7 @@ impl BufferManager {
         // Whatever this node committed to the page is superseded: the
         // committing node now tracks the page in *its* dirty-page table.
         let dpt_cleared = self.dirty_table.clear_page(page).is_some();
-        let removed = self.mm.remove(&page);
-        if let Some(state) = removed {
-            if state.prefetched {
-                self.prefetch_wasted[state.partition] += 1;
-            }
-            if let Some(tracker) = self.lru_k.as_mut() {
-                tracker.remove(&page);
-            }
-        }
-        let mut dropped = removed.is_some();
+        let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
             if cache.peek(&page).is_some_and(|e| e.pending == 0) {
                 cache.remove(&page);
@@ -669,16 +534,7 @@ impl BufferManager {
     /// superseded redo entry.  Returns true if a copy was dropped.
     pub fn discard_stale_copy(&mut self, page: PageId) -> bool {
         let dpt_cleared = self.dirty_table.clear_page(page).is_some();
-        let removed = self.mm.remove(&page);
-        if let Some(state) = removed {
-            if state.prefetched {
-                self.prefetch_wasted[state.partition] += 1;
-            }
-            if let Some(tracker) = self.lru_k.as_mut() {
-                tracker.remove(&page);
-            }
-        }
-        let mut dropped = removed.is_some();
+        let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
             dropped |= cache.remove(&page).is_some();
         }
@@ -695,10 +551,6 @@ impl BufferManager {
             self.stats
                 .per_partition
                 .resize(partition + 1, Default::default());
-        }
-        if partition >= self.prefetch_hits.len() {
-            self.prefetch_hits.resize(partition + 1, 0);
-            self.prefetch_wasted.resize(partition + 1, 0);
         }
     }
 }
@@ -1260,54 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_k2_evicts_single_touch_pages_before_the_hot_page() {
-        // mm holds 3 frames; page 1 is referenced twice (full K=2 history),
-        // then a scan of single-touch pages must evict among itself and leave
-        // the hot page resident (plain LRU would evict page 1 first).
-        let cfg = disk_config(3).with_lru_k(2);
-        let mut bm = BufferManager::new(cfg);
-        bm.reference_page(0, PageId(1), false);
-        bm.reference_page(0, PageId(1), false);
-        bm.reference_page(0, PageId(2), false);
-        bm.reference_page(0, PageId(3), false);
-        bm.reference_page(0, PageId(4), false); // evicts 2 (oldest single-touch)
-        assert!(bm.mm_contains(PageId(1)));
-        assert!(!bm.mm_contains(PageId(2)));
-        bm.reference_page(0, PageId(5), false); // evicts 3
-        assert!(bm.mm_contains(PageId(1)));
-        assert!(!bm.mm_contains(PageId(3)));
-        assert_eq!(bm.stats().mm_evictions, 2);
-    }
-
-    #[test]
-    fn lru_k1_config_keeps_the_plain_lru_chain() {
-        // K = 1 must not allocate a tracker and must evict in LRU order.
-        let cfg = disk_config(2).with_lru_k(1);
-        let mut bm = BufferManager::new(cfg);
-        bm.reference_page(0, PageId(1), false);
-        bm.reference_page(0, PageId(2), false);
-        bm.reference_page(0, PageId(1), false); // touch 1; 2 is now LRU
-        bm.reference_page(0, PageId(3), false); // evicts 2
-        assert!(bm.mm_contains(PageId(1)));
-        assert!(!bm.mm_contains(PageId(2)));
-    }
-
-    #[test]
-    fn lru_k_tracker_stays_in_sync_across_invalidations() {
-        let cfg = disk_config(2).with_lru_k(2);
-        let mut bm = BufferManager::new(cfg);
-        bm.reference_page(0, PageId(1), false);
-        bm.reference_page(0, PageId(2), false);
-        assert!(bm.invalidate_page(PageId(1)));
-        // The freed frame is reusable and the tracker no longer knows page 1:
-        // filling the buffer again must evict among resident pages only.
-        bm.reference_page(0, PageId(3), false);
-        bm.reference_page(0, PageId(4), false); // evicts 2 or 3, never panics
-        assert_eq!(bm.mm_pages(), 2);
-        assert!(!bm.mm_contains(PageId(1)));
-    }
-
-    #[test]
     fn reset_stats_keeps_buffer_contents() {
         let mut bm = BufferManager::new(disk_config(10));
         bm.reference_page(0, PageId(1), false);
@@ -1316,60 +1120,5 @@ mod tests {
         assert!(bm.mm_contains(PageId(1)));
         let out = bm.reference_page(0, PageId(1), false);
         assert!(out.main_memory_hit);
-    }
-
-    #[test]
-    fn prefetch_admission_hit_and_waste_accounting() {
-        let mut bm = BufferManager::new(disk_config(10));
-        assert_eq!(bm.admit_prefetched(0, PageId(1)), PrefetchAdmit::Admitted);
-        assert!(bm.mm_contains(PageId(1)));
-        assert!(!bm.mm_is_dirty(PageId(1)));
-        // The first reference of the prefetched frame is a hit.
-        let hit = bm.reference_page(0, PageId(1), false);
-        assert!(hit.main_memory_hit);
-        assert_eq!(bm.prefetch_hits()[0], 1);
-        // ... and only the first: the flag is consumed.
-        bm.reference_page(0, PageId(1), false);
-        assert_eq!(bm.prefetch_hits()[0], 1);
-        // Re-admitting a resident page bought nothing.
-        assert_eq!(
-            bm.admit_prefetched(0, PageId(1)),
-            PrefetchAdmit::AlreadyResident
-        );
-        assert_eq!(bm.prefetch_wasted()[0], 1);
-    }
-
-    #[test]
-    fn prefetch_never_evicts_dirty_pages() {
-        let mut bm = BufferManager::new(disk_config(2));
-        bm.reference_page(0, PageId(1), true);
-        bm.reference_page(0, PageId(2), true);
-        assert_eq!(bm.admit_prefetched(0, PageId(3)), PrefetchAdmit::Rejected);
-        assert!(!bm.mm_contains(PageId(3)));
-        assert!(bm.mm_contains(PageId(1)) && bm.mm_contains(PageId(2)));
-        assert_eq!(bm.prefetch_wasted()[0], 1);
-    }
-
-    #[test]
-    fn prefetch_admission_replaces_the_oldest_clean_frame() {
-        let mut bm = BufferManager::new(disk_config(2));
-        bm.reference_page(0, PageId(1), true); // dirty
-        bm.reference_page(0, PageId(2), false); // clean
-        assert_eq!(bm.admit_prefetched(0, PageId(3)), PrefetchAdmit::Admitted);
-        assert!(bm.mm_contains(PageId(1)), "dirty frame must survive");
-        assert!(!bm.mm_contains(PageId(2)));
-        assert!(bm.mm_contains(PageId(3)));
-    }
-
-    #[test]
-    fn dropping_an_unreferenced_prefetched_frame_counts_wasted() {
-        let mut bm = BufferManager::new(disk_config(10));
-        assert_eq!(bm.admit_prefetched(0, PageId(1)), PrefetchAdmit::Admitted);
-        assert!(bm.invalidate_page(PageId(1)));
-        assert_eq!(bm.prefetch_wasted()[0], 1);
-        assert_eq!(bm.prefetch_hits()[0], 0);
-        // reset clears the counters like every other statistic.
-        bm.reset_stats();
-        assert_eq!(bm.prefetch_wasted()[0], 0);
     }
 }

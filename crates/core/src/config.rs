@@ -7,7 +7,7 @@ use dbmodel::{HotSpotParams, PartitionScheme};
 use lockmgr::CcMode;
 use simkernel::dist::PiecewiseRate;
 use simkernel::time::SimTime;
-use storage::{DeviceSpec, IoSchedulerParams, NvemParams};
+use storage::{DeviceSpec, NvemParams};
 
 /// CM (computing module) parameters — Table 3.3 / Table 4.1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -684,11 +684,11 @@ pub struct SimulationConfig {
     /// Cross-node buffer coherence protocol and page-transfer policy
     /// (data sharing with more than one node; ignored otherwise).
     pub coherence: CoherenceParams,
-    /// Per-device I/O request scheduling policy (coalescing, elevator
-    /// dispatch, sequential prefetch), applied to every disk unit.  Fully
-    /// disabled by default: the engine then bypasses the scheduler and every
-    /// report stays byte-identical to runs captured before it existed.
-    pub io_scheduler: IoSchedulerParams,
+    /// Same-page read coalescing on every storage unit: a synchronous read
+    /// of a page that already has a read in flight on its unit joins that
+    /// read instead of issuing its own.  Off by default, which keeps every
+    /// report byte-identical to runs captured before coalescing existed.
+    pub coalesce_reads: bool,
     /// Open-system workload shaping: arrival-rate schedule and hot-spot
     /// skew.  Inactive by default — unshaped runs keep the paper's constant
     /// Poisson arrivals and uniform/b-c-rule access, byte-identical.
@@ -749,7 +749,6 @@ impl SimulationConfig {
         if self.coherence.transfer_copy_instr.is_nan() || self.coherence.transfer_copy_instr < 0.0 {
             return Err("page-transfer copy cost must be non-negative".into());
         }
-        self.io_scheduler.validate()?;
         self.workload.validate()?;
         if self.architecture == Architecture::SharedNothing {
             if self.recovery.enabled() {
@@ -873,12 +872,11 @@ mod tests {
                 nvem_cache_pages: 0,
                 nvem_write_buffer_pages: 0,
                 update_strategy: bufmgr::UpdateStrategy::NoForce,
-                lru_k: 1,
                 partitions: vec![PartitionPolicy::on_disk_unit(0)],
             },
             cc_modes: vec![CcMode::Page],
             coherence: CoherenceParams::default(),
-            io_scheduler: IoSchedulerParams::default(),
+            coalesce_reads: false,
             workload: WorkloadParams::default(),
             arrival_rate_tps: 100.0,
             warmup_ms: 1000.0,
@@ -1183,28 +1181,6 @@ mod tests {
             CoherenceParams::default().page_transfer,
             PageTransfer::DiskReread
         );
-    }
-
-    #[test]
-    fn validation_catches_bad_io_scheduler_params() {
-        let mut c = minimal_config();
-        c.io_scheduler = IoSchedulerParams {
-            elevator: true,
-            aging_bound: 0,
-            ..IoSchedulerParams::default()
-        };
-        assert!(c.validate().is_err());
-        c.io_scheduler.aging_bound = 8;
-        assert!(c.validate().is_ok());
-        // Every policy combination with a sane aging bound validates.
-        c.io_scheduler = IoSchedulerParams {
-            coalesce: true,
-            elevator: true,
-            prefetch_depth: 4,
-            aging_bound: 16,
-        };
-        assert!(c.validate().is_ok());
-        assert!(!minimal_config().io_scheduler.enabled());
     }
 
     #[test]

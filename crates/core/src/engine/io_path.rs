@@ -8,6 +8,10 @@
 //! asynchronous writes, releases group-commit batches and spawns background
 //! destages.
 //!
+//! With [`crate::SimulationConfig::coalesce_reads`] set, a synchronous read
+//! of a page that already has a read in flight on the same unit joins that
+//! request's completion fan-out instead of paying its own access.
+//!
 //! Requests live in the engine's [`IoArena`](super::arena::IoArena): the
 //! `u32` request id carried by every `IoStage` event and resource token is a
 //! plain slot index, so the per-event lookups here never hash.
@@ -17,7 +21,7 @@
 use bufmgr::PageOp;
 use dbmodel::{PageId, WorkloadGenerator};
 use simkernel::resource::Acquire;
-use storage::{IoKind, ServiceStage, SubmitOutcome};
+use storage::{IoKind, ServiceStage};
 
 use super::iorequest::{HeldResource, IoRequest};
 use super::transaction::{MicroOp, TxState};
@@ -81,7 +85,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// starts its first stage; returns the request id.  Every I/O — whether
     /// a transaction waits on it or not — goes through here.  `node` is the
     /// computing module whose buffer manager issued the request (buffer
-    /// notifications are routed back to it).
+    /// notifications are routed back to it).  A synchronous read is made
+    /// joinable before its first stage runs, so even a request that
+    /// completes at once leaves no stale entry behind.
     #[allow(clippy::too_many_arguments)]
     fn start_io(
         &mut self,
@@ -104,6 +110,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
             io = io.with_log_wb();
         }
         let io_id = self.ios.insert(io);
+        if kind == IoKind::Read && waiter.is_some() {
+            if let Some(coalescer) = self.units[unit].coalescer.as_mut() {
+                coalescer.track(page, io_id);
+            }
+        }
         self.advance_io(io_id);
         io_id
     }
@@ -123,33 +134,22 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // partition owner while a shared-nothing reference runs shipped), so
         // completion notifications must route back to that pool.
         let node = self.exec_node_of(slot);
-        // Synchronous reads go through the unit's request scheduler when one
-        // is configured; writes (and the notify/log_wb bookkeeping that only
-        // writes carry) keep the direct FCFS path.
-        if kind == IoKind::Read && wait && self.units[unit].scheduler.is_some() {
-            debug_assert!(
-                !notify && !log_wb,
-                "scheduled reads carry no write bookkeeping"
-            );
-            self.txs.tx_mut(slot).state = TxState::WaitingIo;
-            let outcome = self.units[unit]
-                .scheduler
+        // A synchronous read of a page already being read on this unit
+        // parks on the in-flight request's completion fan-out.
+        if kind == IoKind::Read && wait {
+            let joined = self.units[unit]
+                .coalescer
                 .as_mut()
-                .expect("checked above")
-                .submit(page, slot);
-            match outcome {
-                SubmitOutcome::JoinedInflight(io_id) => {
-                    // The page is already being read: park this waiter on the
-                    // in-flight request's completion fan-out.
-                    self.ios
-                        .get_mut(io_id)
-                        .expect("scheduler tracks only live requests")
-                        .group_waiters
-                        .push(slot);
-                }
-                SubmitOutcome::Queued => self.drain_scheduler(node, unit),
+                .and_then(|c| c.join(page));
+            if let Some(io_id) = joined {
+                self.ios
+                    .get_mut(io_id)
+                    .expect("coalescer tracks only live requests")
+                    .group_waiters
+                    .push(slot);
+                self.txs.tx_mut(slot).state = TxState::WaitingIo;
+                return Flow::Blocked;
             }
-            return Flow::Blocked;
         }
         self.start_io(node, unit, kind, page, wait.then_some(slot), notify, log_wb);
         if wait {
@@ -157,50 +157,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             Flow::Blocked
         } else {
             Flow::Continue
-        }
-    }
-
-    /// Dispatches every batch the unit's scheduler is willing to release
-    /// (one per free disk-server slot).  The batch leader pays the device's
-    /// full service decision; each merged member adds only its page
-    /// transmission on top — that is the whole point of merging — but the
-    /// device model is still asked for a decision *per member page*, so
-    /// controller-cache state and per-unit counters evolve exactly as if
-    /// the pages had been requested individually.  Background stages
-    /// (destages of absorbed victims) are preserved for every member.
-    pub(super) fn drain_scheduler(&mut self, node: usize, unit: usize) {
-        loop {
-            let Some(batch) = self.units[unit]
-                .scheduler
-                .as_mut()
-                .and_then(|s| s.next_batch())
-            else {
-                return;
-            };
-            let mut stages = Vec::new();
-            let mut background = Vec::new();
-            for (i, &page) in batch.pages.iter().enumerate() {
-                let decision = self.units[unit].device.request(IoKind::Read, page);
-                if i == 0 {
-                    stages = decision.foreground;
-                    background = decision.background;
-                } else {
-                    stages.push(ServiceStage::Transmission(decision.transmission_time()));
-                    background.extend(decision.background);
-                }
-            }
-            let mut io = IoRequest::new(unit, batch.pages[0], stages, None)
-                .with_background(background)
-                .for_node(node)
-                .into_scheduled();
-            io.group_waiters = batch.waiters.clone();
-            let io_id = self.ios.insert(io);
-            self.units[unit]
-                .scheduler
-                .as_mut()
-                .expect("scheduler present while draining")
-                .register_inflight(io_id, &batch);
-            self.advance_io(io_id);
         }
     }
 
@@ -284,6 +240,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     fn complete_io(&mut self, io_id: u32) {
         let io = self.ios.remove(io_id);
+        if let Some(coalescer) = self.units[io.unit].coalescer.as_mut() {
+            coalescer.complete(io.page, io_id);
+        }
         if io.is_destage {
             self.units[io.unit].device.destage_complete(io.page);
         }
@@ -316,47 +275,16 @@ impl<W: WorkloadGenerator> Simulation<W> {
             let bg_id = self.ios.insert(bg);
             self.advance_io(bg_id);
         }
-        // A scheduler-dispatched batch frees its service slot, admits any
-        // speculative member pages into the issuing node's buffer pool and
-        // lets the scheduler release the next batch.
-        if io.scheduled {
-            let done = self.units[io.unit]
-                .scheduler
-                .as_mut()
-                .and_then(|s| s.complete(io_id));
-            if let Some(done) = done {
-                for (page, (node, partition)) in done.prefetched {
-                    self.finish_prefetch(node, partition, page);
-                }
-            }
-            self.drain_scheduler(io.node, io.unit);
-        }
         if let Some(slot) = io.waiter {
             if let Some(tx) = self.txs.get_mut(slot) {
                 tx.state = TxState::Ready;
                 self.ready.push_back(slot);
             }
         }
-        // Wake a whole group-commit batch parked on this log write.
+        // Wake a whole group-commit batch parked on this log write, or the
+        // readers that joined this read.
         if !io.group_waiters.is_empty() {
             self.wake_slots(&io.group_waiters);
-        }
-    }
-
-    /// Routes a completed speculative read into the issuing node's buffer
-    /// pool.  Admission never evicts dirty pages
-    /// ([`bufmgr::BufferManager::admit_prefetched`]); under an active
-    /// coherence protocol an admitted copy is registered in the
-    /// page → holders index and version-stamped exactly like a demand
-    /// fetch, so later remote commits invalidate it correctly.
-    fn finish_prefetch(&mut self, node: usize, partition: usize, page: PageId) {
-        let admit = self.nodes[node].bufmgr.admit_prefetched(partition, page);
-        if admit != bufmgr::PrefetchAdmit::Admitted {
-            return;
-        }
-        if self.coherence_active() {
-            self.note_holder(node, page);
-            self.stamp_fetch(node, page);
         }
     }
 }

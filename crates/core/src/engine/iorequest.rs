@@ -43,7 +43,8 @@ pub(crate) struct IoRequest {
     /// Background stages to run after the foreground completes (destage of an
     /// absorbed write).
     pub background: Vec<ServiceStage>,
-    /// Transaction slots of a group-commit batch parked on this log write.
+    /// Transaction slots of a group-commit batch parked on this log write,
+    /// or of reads that joined this read of the same page.
     pub group_waiters: Vec<usize>,
     /// Tell the buffer manager when this (asynchronous) write completes.
     pub notify_bufmgr: bool,
@@ -52,11 +53,6 @@ pub(crate) struct IoRequest {
     /// This request *is* a background destage; completion updates the disk
     /// unit's cache state.
     pub is_destage: bool,
-    /// The request was dispatched by the unit's [`storage::RequestScheduler`]
-    /// (possibly carrying a whole merged batch); completion must report back
-    /// to the scheduler to free its service slot and trigger the next
-    /// dispatch.
-    pub scheduled: bool,
     /// Issue time of a checkpoint log record; on completion the measured
     /// latency (including queueing) is charged as checkpoint overhead.
     pub checkpoint_issued_at: Option<SimTime>,
@@ -86,7 +82,6 @@ impl IoRequest {
             notify_bufmgr: false,
             log_wb: false,
             is_destage: false,
-            scheduled: false,
             checkpoint_issued_at: None,
             held: None,
             pending_service: 0.0,
@@ -138,12 +133,6 @@ impl IoRequest {
         self.is_destage = true;
         self
     }
-
-    /// Marks the request as dispatched by the unit's request scheduler.
-    pub fn into_scheduled(mut self) -> Self {
-        self.scheduled = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +154,6 @@ mod tests {
         assert!(io.notify_bufmgr);
         assert!(io.log_wb);
         assert!(!io.is_destage);
-        assert!(!io.scheduled);
         assert!(io.group_waiters.is_empty());
         assert_eq!(io.checkpoint_issued_at, None);
         assert_eq!(io.pop_stage(), Some(ServiceStage::Disk(5.0)));
@@ -174,7 +162,5 @@ mod tests {
         let destage = IoRequest::new(0, PageId(1), vec![], None).into_destage();
         assert!(destage.is_destage);
         assert!(destage.waiter.is_none());
-        let scheduled = IoRequest::new(0, PageId(1), vec![], None).into_scheduled();
-        assert!(scheduled.scheduled);
     }
 }

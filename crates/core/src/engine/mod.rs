@@ -83,7 +83,7 @@ use simkernel::sketch::QuantileSketch;
 use simkernel::stats::{Histogram, Tally, TimeWeighted};
 use simkernel::time::{interarrival_ms, SimTime};
 use simkernel::{EventQueue, Resource, SimRng};
-use storage::{DiskUnitStats, IoSchedulerStats, RequestScheduler, StorageDevice};
+use storage::{DiskUnitStats, ReadCoalescer, StorageDevice};
 
 use crate::config::{Architecture, SimulationConfig};
 use crate::metrics::{CoherenceReport, KernelProfile, ShippingReport, SimulationReport};
@@ -140,10 +140,10 @@ struct UnitRuntime {
     device: Box<dyn StorageDevice>,
     controllers: Resource,
     disks: Resource,
-    /// Per-device read scheduler (coalescing, elevator dispatch, prefetch
-    /// deduplication); `Some` exactly when the configuration enables a
-    /// scheduling policy.  `None` preserves the direct FCFS path untouched.
-    scheduler: Option<RequestScheduler>,
+    /// In-flight reads that same-page reads may join; `Some` exactly when
+    /// [`SimulationConfig::coalesce_reads`] is set.  `None` keeps every read
+    /// on the plain FCFS path.
+    coalescer: Option<ReadCoalescer>,
 }
 
 /// Device and lock statistics frozen at the crash instant.  The restart
@@ -153,10 +153,9 @@ struct UnitRuntime {
 /// [`crate::metrics::RestartReport`]).
 struct CrashStatsSnapshot {
     devices: Vec<DiskUnitStats>,
-    /// Per-unit scheduler counters (`None` for units without a scheduler).
-    /// The restart pass plans its reads through the same scheduler policy,
-    /// so the steady-state counters are frozen alongside the device stats.
-    scheduler: Vec<Option<IoSchedulerStats>>,
+    /// Per-unit coalesced-read counts (`None` without coalescing), frozen
+    /// alongside the device stats they are reported with.
+    coalesced_reads: Vec<Option<u64>>,
     locks: LockManagerStats,
     global_locks: GlobalLockStats,
 }
@@ -352,10 +351,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 device: spec.build(format!("unit-{i}")),
                 controllers: Resource::new(format!("unit-{i}-controllers"), spec.num_controllers()),
                 disks: Resource::new(format!("unit-{i}-disks"), spec.num_disks()),
-                scheduler: config
-                    .io_scheduler
-                    .enabled()
-                    .then(|| RequestScheduler::new(config.io_scheduler, spec.num_disks())),
+                coalescer: config.coalesce_reads.then(ReadCoalescer::default),
             })
             .collect();
         let nodes = (0..config.nodes.num_nodes)

@@ -23,17 +23,14 @@
 //!    (present in a dirty-page table at the crash), and
 //! 3. one read of each lost page from its home location — through the same
 //!    [`storage::StorageDevice`] models the steady-state run uses, with the
-//!    reads prefetched in parallel across each unit's disk servers (the scan
+//!    reads issued in parallel across each unit's disk servers (the scan
 //!    knows all needed pages in advance; only the log itself is inherently
-//!    sequential) and planned by the same scheduler policy as steady-state
-//!    reads ([`storage::scheduler::plan_reads`]: with coalescing enabled,
-//!    adjacent redo pages share one seek) — plus a lock re-acquisition
-//!    covering the redone pages.
+//!    sequential) — plus a lock re-acquisition covering the redone pages.
 
 use std::collections::HashMap;
 
 use dbmodel::{AccessMode, ObjectId, ObjectRef, PageId, WorkloadGenerator};
-use simkernel::time::instr_time;
+use simkernel::time::{instr_time, SimTime};
 use storage::IoKind;
 
 use bufmgr::PageLocation;
@@ -139,10 +136,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // sections must not include restart work.
         self.crash_stats = Some(super::CrashStatsSnapshot {
             devices: self.units.iter().map(|u| u.device.stats()).collect(),
-            scheduler: self
+            coalesced_reads: self
                 .units
                 .iter()
-                .map(|u| u.scheduler.as_ref().map(|s| s.stats()))
+                .map(|u| u.coalescer.as_ref().map(|c| c.coalesced()))
                 .collect(),
             locks: self.lockmgr.stats(),
             global_locks: self.lockmgr.global_stats(),
@@ -217,14 +214,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
         redo_pages.dedup();
 
         // Unlike the log (read sequentially in LSN order), the page re-reads
-        // are known in advance from the scan and prefetch in parallel across
+        // are known in advance from the scan and are issued in parallel across
         // each unit's disk servers: the elapsed time per unit is the summed
         // service time divided by its disk count.  The per-I/O CPU overhead
-        // stays serial (one restart CPU drives the redo pass).  The service
-        // time itself comes from the shared scheduler planning
-        // ([`storage::scheduler::plan_reads`]): without coalescing it is the
-        // plain per-page sum the restart pass always paid, with coalescing
-        // adjacent redo pages share one seek exactly like steady-state reads.
+        // stays serial (one restart CPU drives the redo pass).
         let mut data_pages_read = 0u64;
         let mut unit_pages: Vec<Vec<PageId>> = vec![Vec::new(); self.units.len()];
         for &(partition, page) in &redo_pages {
@@ -246,11 +239,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
             if pages.is_empty() {
                 continue;
             }
-            let service = storage::scheduler::plan_reads(
-                &self.config.io_scheduler,
-                self.units[unit].device.as_mut(),
-                pages,
-            );
+            let device = self.units[unit].device.as_mut();
+            let service: SimTime = pages
+                .iter()
+                .map(|&p| device.request(IoKind::Read, p).foreground_service_time())
+                .sum();
             restart_ms += service / self.config.devices[unit].num_disks() as f64;
         }
 

@@ -3,7 +3,7 @@
 //! cross-node invalidation, log write-buffer accounting).
 
 use dbmodel::{AccessMode, ObjectId, ObjectRef, PageId, TransactionTemplate};
-use storage::{IoKind, IoSchedulerParams, NvemDeviceParams};
+use storage::{IoKind, NvemDeviceParams};
 
 use bufmgr::PageOp;
 
@@ -756,84 +756,20 @@ fn every_coherence_combination_is_deterministic() {
     }
 }
 
-#[test]
-fn lru_k1_report_is_byte_identical_to_the_default_lru() {
-    let make = |k: usize| {
-        let mut c = quick_config(DebitCreditStorage::Disk, 150.0);
-        c.buffer.mm_buffer_pages = 300; // small pool: steady-state evictions
-        c.buffer = c.buffer.clone().with_lru_k(k);
-        c
-    };
-    let baseline =
-        Simulation::new(quick_config_with_small_pool(), debit_credit_workload(100)).run();
-    let k1 = Simulation::new(make(1), debit_credit_workload(100)).run();
-    assert_eq!(
-        format!("{baseline:#?}"),
-        format!("{k1:#?}"),
-        "explicit K = 1 must be byte-identical to the default LRU chain"
-    );
-    // K = 2 is a different replacement policy but stays deterministic.
-    let k2a = Simulation::new(make(2), debit_credit_workload(100)).run();
-    let k2b = Simulation::new(make(2), debit_credit_workload(100)).run();
-    assert_eq!(format!("{k2a:#?}"), format!("{k2b:#?}"));
-    assert!(k2a.completed > 0);
-    assert!(k2a.buffer.mm_evictions > 0, "small pool must evict");
-}
-
-fn quick_config_with_small_pool() -> SimulationConfig {
-    let mut c = quick_config(DebitCreditStorage::Disk, 150.0);
-    c.buffer.mm_buffer_pages = 300;
-    c
-}
-
 // ---------------------------------------------------------------------------
-// Device I/O request scheduler: coalescing, elevator batching, prefetch
+// Same-page read coalescing
 // ---------------------------------------------------------------------------
-
-fn scheduler_params(coalesce: bool, elevator: bool, prefetch_depth: u32) -> IoSchedulerParams {
-    IoSchedulerParams {
-        coalesce,
-        elevator,
-        prefetch_depth,
-        aging_bound: 16,
-    }
-}
-
-/// A read-only transaction touching `len` consecutive pages of partition 0
-/// starting at `start` — the ascending miss run that arms sequential
-/// prefetch.
-fn sequential_read_template(start: u64, len: u64) -> TransactionTemplate {
-    TransactionTemplate {
-        tx_type: 0,
-        refs: (0..len)
-            .map(|i| ObjectRef {
-                partition: 0,
-                page: PageId(start + i),
-                object: ObjectId(start + i),
-                mode: AccessMode::Read,
-            })
-            .collect(),
-    }
-}
 
 #[test]
 fn every_io_scheduler_combination_is_deterministic() {
-    // Same seed ⇒ byte-identical report for each scheduler policy
-    // combination.
-    let combos = [
-        scheduler_params(true, false, 0),
-        scheduler_params(false, true, 0),
-        scheduler_params(true, true, 0),
-        scheduler_params(true, true, 4),
-        scheduler_params(false, false, 4),
-    ];
-    for params in combos {
+    // Same seed ⇒ byte-identical report with coalescing off and on.
+    for coalesce_reads in [false, true] {
         let make = || {
             let mut c = data_sharing_config(3, 150.0);
             c.warmup_ms = 300.0;
             c.measure_ms = 1_500.0;
             c.buffer.mm_buffer_pages = 300; // small pools: real disk reads
-            c.io_scheduler = params;
+            c.coalesce_reads = coalesce_reads;
             c
         };
         let a = Simulation::new(make(), debit_credit_workload(100)).run();
@@ -841,11 +777,13 @@ fn every_io_scheduler_combination_is_deterministic() {
         assert_eq!(
             format!("{a:#?}"),
             format!("{b:#?}"),
-            "{params:?} is not deterministic"
+            "coalesce_reads = {coalesce_reads} is not deterministic"
         );
         assert!(
-            a.devices.iter().all(|d| d.scheduler.is_some()),
-            "an enabled policy must render the scheduler section on every unit"
+            a.devices
+                .iter()
+                .all(|d| d.coalesced_reads.is_some() == coalesce_reads),
+            "the coalesced-read count renders on every unit exactly when enabled"
         );
         assert!(a.completed > 0);
     }
@@ -858,22 +796,22 @@ fn a_disabled_scheduler_leaves_the_report_without_a_scheduler_section() {
         debit_credit_workload(100),
     )
     .run();
-    assert!(report.devices.iter().all(|d| d.scheduler.is_none()));
+    assert!(report.devices.iter().all(|d| d.coalesced_reads.is_none()));
     assert!(
-        !format!("{report:#?}").contains("scheduler"),
-        "default config must render byte-identically to pre-scheduler reports"
+        !format!("{report:#?}").contains("coalesced_reads"),
+        "default config must render byte-identically to pre-coalescing reports"
     );
 }
 
 #[test]
 fn coalesced_read_completion_wakes_every_joined_waiter() {
     let mut c = quick_config(DebitCreditStorage::Disk, 50.0);
-    c.io_scheduler.coalesce = true;
+    c.coalesce_reads = true;
     let mut sim = Simulation::new(c, debit_credit_workload(200));
     for _ in 0..3 {
         sim.activate(0, write_template(7), 0.0);
     }
-    // Three synchronous reads of the same page: the first dispatches, the
+    // Three synchronous reads of the same page: the first is issued, the
     // other two join its in-flight request instead of paying for their own.
     for slot in 0..3 {
         assert_eq!(
@@ -881,17 +819,16 @@ fn coalesced_read_completion_wakes_every_joined_waiter() {
             Flow::Blocked
         );
     }
-    let stats = sim.units[0].scheduler.as_ref().expect("enabled").stats();
-    assert_eq!(stats.coalesced, 2, "two of the three reads must coalesce");
+    let coalesced = sim.units[0]
+        .coalescer
+        .as_ref()
+        .expect("enabled")
+        .coalesced();
+    assert_eq!(coalesced, 2, "two of the three reads must coalesce");
     assert_eq!(sim.ios.live().count(), 1, "one physical request in flight");
-    let waiters = sim
-        .ios
-        .live()
-        .next()
-        .expect("live io")
-        .group_waiters
-        .clone();
-    assert_eq!(waiters, vec![0, 1, 2]);
+    let io = sim.ios.live().next().expect("live io");
+    assert_eq!(io.waiter, Some(0));
+    assert_eq!(io.group_waiters, vec![1, 2]);
     // Drive only the I/O stages to completion: every joined waiter must be
     // woken by the single completion fan-out.
     while let Some(event) = sim.queue.pop() {
@@ -903,33 +840,6 @@ fn coalesced_read_completion_wakes_every_joined_waiter() {
     for slot in 0..3 {
         assert_eq!(sim.txs.tx(slot).state, TxState::Ready, "slot {slot} asleep");
     }
-}
-
-#[test]
-fn an_ascending_miss_run_triggers_prefetch_and_later_references_hit() {
-    let mut c = quick_config(DebitCreditStorage::Disk, 50.0);
-    c.io_scheduler = scheduler_params(true, false, 4);
-    let mut sim = Simulation::new(c, debit_credit_workload(200));
-    // Four consecutive pages, far from the debit-credit hot set: the second
-    // miss forms an ascending run of 2 and read-ahead covers the rest.
-    sim.activate(0, sequential_read_template(5_000, 4), 0.0);
-    sim.process_ready();
-    sim.run_event_loop();
-    let prefetch_issued: u64 = sim
-        .units
-        .iter()
-        .filter_map(|u| u.scheduler.as_ref())
-        .map(|s| s.stats().prefetch_issued)
-        .sum();
-    assert!(
-        prefetch_issued >= 2,
-        "an ascending run must arm read-ahead (issued {prefetch_issued})"
-    );
-    let hits: u64 = sim.nodes[0].bufmgr.prefetch_hits().iter().sum();
-    assert!(
-        hits >= 1,
-        "later references of the run must hit prefetched frames (hits {hits})"
-    );
 }
 
 #[test]

@@ -52,8 +52,8 @@ pub use config::{
 };
 pub use engine::Simulation;
 pub use metrics::{
-    CoherenceReport, DeviceReport, IoSchedulerReport, KernelProfile, NodeReport, RecoveryReport,
-    ResponseTimeStats, RestartReport, ShippingReport, SimulationReport, TailLatencyReport,
+    CoherenceReport, DeviceReport, KernelProfile, NodeReport, RecoveryReport, ResponseTimeStats,
+    RestartReport, ShippingReport, SimulationReport, TailLatencyReport,
 };
 
 // Re-export the substrate crates so downstream users need only one dependency.

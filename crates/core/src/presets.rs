@@ -31,7 +31,7 @@ use dbmodel::{
 };
 use lockmgr::CcMode;
 use simkernel::SimRng;
-use storage::{DeviceSpec, DiskUnitKind, DiskUnitParams, IoSchedulerParams, NvemParams};
+use storage::{DeviceSpec, DiskUnitKind, DiskUnitParams, NvemParams};
 
 use crate::config::{
     Architecture, CmParams, CoherenceParams, ForcePolicy, LogAllocation, LogTruncation, NodeParams,
@@ -135,7 +135,6 @@ pub fn debit_credit_config(storage: DebitCreditStorage, arrival_rate_tps: f64) -
         nvem_cache_pages: 0,
         nvem_write_buffer_pages: 0,
         update_strategy: UpdateStrategy::NoForce,
-        lru_k: 1,
         partitions: vec![PartitionPolicy::on_disk_unit(DB_UNIT); num_partitions],
     };
     let (devices, log_allocation) = match storage {
@@ -197,7 +196,7 @@ pub fn debit_credit_config(storage: DebitCreditStorage, arrival_rate_tps: f64) -
         buffer,
         cc_modes: debit_credit_cc_modes(),
         coherence: CoherenceParams::default(),
-        io_scheduler: IoSchedulerParams::default(),
+        coalesce_reads: false,
         workload: WorkloadParams::default(),
         arrival_rate_tps,
         warmup_ms: 3_000.0,
@@ -510,7 +509,6 @@ pub fn trace_config(
         nvem_cache_pages: 0,
         nvem_write_buffer_pages: 0,
         update_strategy: UpdateStrategy::NoForce,
-        lru_k: 1,
         partitions: vec![PartitionPolicy::on_disk_unit(DB_UNIT); num_partitions],
     };
     let mut log_allocation = LogAllocation::DiskUnit(LOG_UNIT);
@@ -557,7 +555,7 @@ pub fn trace_config(
         buffer,
         cc_modes,
         coherence: CoherenceParams::default(),
-        io_scheduler: IoSchedulerParams::default(),
+        coalesce_reads: false,
         workload: WorkloadParams::default(),
         arrival_rate_tps,
         warmup_ms: 3_000.0,
@@ -628,7 +626,6 @@ pub fn contention_config(
         nvem_cache_pages: 0,
         nvem_write_buffer_pages: 0,
         update_strategy: UpdateStrategy::NoForce,
-        lru_k: 1,
         partitions,
     };
     SimulationConfig {
@@ -646,7 +643,7 @@ pub fn contention_config(
         buffer,
         cc_modes: vec![granularity; 2],
         coherence: CoherenceParams::default(),
-        io_scheduler: IoSchedulerParams::default(),
+        coalesce_reads: false,
         workload: WorkloadParams::default(),
         arrival_rate_tps,
         warmup_ms: 3_000.0,

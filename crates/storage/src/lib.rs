@@ -15,11 +15,10 @@
 //!   update the disk copy asynchronously.
 //! * **NVEM** — non-volatile extended memory, a page-addressable store that is
 //!   accessed synchronously by the CPU via one or more NVEM servers.
-//! * **Request scheduling** — an optional per-unit scheduling layer
-//!   ([`scheduler::RequestScheduler`]) adding same-page coalescing,
-//!   adjacent-page merging, elevator (C-SCAN) dispatch with a deterministic
-//!   aging bound, and sequential-prefetch deduplication.  Disabled by
-//!   default; the engine bypasses it entirely then.
+//! * **Read coalescing** — optional per-unit bookkeeping
+//!   ([`scheduler::ReadCoalescer`]) that lets a synchronous read join an
+//!   in-flight read of the same page.  Disabled by default; the engine
+//!   bypasses it entirely then.
 //!
 //! The device models are *policy only*: they decide which service stages an
 //! I/O must pass through ([`io::IoDecision`]) and keep the cache state, but
@@ -31,7 +30,6 @@ pub mod device;
 pub mod disk_unit;
 pub mod io;
 pub mod lru;
-pub mod lru_k;
 pub mod nvem;
 pub mod params;
 pub mod scheduler;
@@ -40,10 +38,6 @@ pub use device::{DeviceSpec, StorageDevice};
 pub use disk_unit::{DiskUnit, DiskUnitStats};
 pub use io::{IoDecision, IoKind, ServiceStage};
 pub use lru::LruCache;
-pub use lru_k::LruKTracker;
 pub use nvem::{NvemDevice, NvemDeviceParams, NvemParams};
 pub use params::{DeviceTimings, DiskUnitKind, DiskUnitParams};
-pub use scheduler::{
-    CompletedBatch, DispatchBatch, IoSchedulerParams, IoSchedulerStats, PrefetchTag,
-    RequestScheduler, SubmitOutcome,
-};
+pub use scheduler::ReadCoalescer;

@@ -198,7 +198,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Key of the least-recently-used entry.
-    pub fn lru_key(&self) -> Option<&K> {
+    pub fn least_recent_key(&self) -> Option<&K> {
         (self.tail != NIL).then(|| &self.nodes[self.tail].key)
     }
 
@@ -349,10 +349,10 @@ mod tests {
         c.insert(2, 20);
         *c.peek_mut(&1).unwrap() += 1;
         // peek_mut did not touch; 1 is still LRU.
-        assert_eq!(c.lru_key(), Some(&1));
+        assert_eq!(c.least_recent_key(), Some(&1));
         *c.get_mut(&1).unwrap() += 1;
         assert_eq!(c.peek(&1), Some(&12));
-        assert_eq!(c.lru_key(), Some(&2));
+        assert_eq!(c.least_recent_key(), Some(&2));
     }
 
     #[test]
@@ -370,7 +370,7 @@ mod tests {
         let mut c = LruCache::new(1);
         assert!(c.insert(1, 'x').is_none());
         assert_eq!(c.insert(2, 'y'), Some((1, 'x')));
-        assert_eq!(c.lru_key(), Some(&2));
+        assert_eq!(c.least_recent_key(), Some(&2));
     }
 
     #[test]
@@ -387,7 +387,7 @@ mod tests {
             let evicted = c.insert(next, "x");
             assert_eq!(evicted.map(|(k, _)| k), Some(prev));
             assert_eq!(c.len(), 1);
-            assert_eq!(c.lru_key(), Some(&next));
+            assert_eq!(c.least_recent_key(), Some(&next));
             assert!(c.contains(&next) && !c.contains(&prev));
         }
         // Re-inserting the resident key is an update, not an eviction.
@@ -426,7 +426,7 @@ mod tests {
         }
         assert_eq!(c.lru_matching(|pending| *pending == 0), None);
         // The scan must not disturb recency: page 2 is still the LRU frame.
-        assert_eq!(c.lru_key(), Some(&2));
+        assert_eq!(c.least_recent_key(), Some(&2));
     }
 
     #[test]
