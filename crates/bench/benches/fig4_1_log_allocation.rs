@@ -6,9 +6,9 @@
 
 mod common;
 
-use tpsim::presets::LogVariant;
+use tpsim::presets::{self, LogVariant};
 use tpsim_bench::microbench::{black_box, Criterion};
-use tpsim_bench::runner::{fig4_1_point, run_debit_credit};
+use tpsim_bench::runner::run_debit_credit;
 
 fn bench(c: &mut Criterion) {
     let settings = common::settings();
@@ -16,7 +16,8 @@ fn bench(c: &mut Criterion) {
     for variant in LogVariant::ALL {
         group.bench_function(variant.label(), |b| {
             b.iter(|| {
-                let report = run_debit_credit(&settings, fig4_1_point(variant, 150.0));
+                let report =
+                    run_debit_credit(&settings, presets::log_allocation_config(variant, 150.0));
                 black_box(report.response_time.mean)
             })
         });

@@ -2,9 +2,9 @@
 
 mod common;
 
-use tpsim::presets::DebitCreditStorage;
+use tpsim::presets::{self, DebitCreditStorage};
 use tpsim_bench::microbench::{black_box, Criterion};
-use tpsim_bench::runner::{fig4_2_point, run_debit_credit};
+use tpsim_bench::runner::run_debit_credit;
 
 fn bench(c: &mut Criterion) {
     let settings = common::settings();
@@ -12,7 +12,8 @@ fn bench(c: &mut Criterion) {
     for storage in DebitCreditStorage::ALL {
         group.bench_function(storage.label(), |b| {
             b.iter(|| {
-                let report = run_debit_credit(&settings, fig4_2_point(storage, 200.0));
+                let report =
+                    run_debit_credit(&settings, presets::debit_credit_config(storage, 200.0));
                 black_box(report.response_time.mean)
             })
         });

@@ -3,9 +3,9 @@
 
 mod common;
 
-use tpsim::presets::SecondLevel;
+use tpsim::presets::{self, SecondLevel};
 use tpsim_bench::microbench::{black_box, Criterion};
-use tpsim_bench::runner::{caching_point, run_debit_credit};
+use tpsim_bench::runner::run_debit_credit;
 
 fn bench(c: &mut Criterion) {
     let settings = common::settings();
@@ -25,7 +25,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let report = run_debit_credit(
                         &settings,
-                        caching_point(mm, second, false, settings.caching_rate),
+                        presets::caching_config(mm, second, false, settings.caching_rate),
                     );
                     black_box((report.response_time.mean, report.mm_hit_ratio()))
                 })

@@ -3,9 +3,9 @@
 
 mod common;
 
-use tpsim::presets::TraceStorage;
+use tpsim::presets::{self, TraceStorage};
 use tpsim_bench::microbench::{black_box, Criterion};
-use tpsim_bench::runner::{run_trace, trace_point};
+use tpsim_bench::runner::run_trace;
 
 fn bench(c: &mut Criterion) {
     let settings = common::settings();
@@ -23,8 +23,10 @@ fn bench(c: &mut Criterion) {
         for mm in [200usize, 1_000] {
             group.bench_function(format!("{label}/mm{mm}"), |b| {
                 b.iter(|| {
-                    let report =
-                        run_trace(&settings, trace_point(mm, storage, settings.trace_rate));
+                    let report = run_trace(
+                        &settings,
+                        presets::trace_config(mm, storage, settings.trace_rate),
+                    );
                     black_box(report.response_time.mean)
                 })
             });

@@ -3,9 +3,9 @@
 
 mod common;
 
-use tpsim::presets::TraceStorage;
+use tpsim::presets::{self, TraceStorage};
 use tpsim_bench::microbench::{black_box, Criterion};
-use tpsim_bench::runner::{run_trace, trace_point};
+use tpsim_bench::runner::run_trace;
 
 fn bench(c: &mut Criterion) {
     let settings = common::settings();
@@ -18,8 +18,10 @@ fn bench(c: &mut Criterion) {
         ] {
             group.bench_function(format!("{label}/{size}"), |b| {
                 b.iter(|| {
-                    let report =
-                        run_trace(&settings, trace_point(1_000, storage, settings.trace_rate));
+                    let report = run_trace(
+                        &settings,
+                        presets::trace_config(1_000, storage, settings.trace_rate),
+                    );
                     black_box((report.response_time.mean, report.nvem_hit_ratio()))
                 })
             });

@@ -4,9 +4,9 @@
 mod common;
 
 use lockmgr::CcMode;
-use tpsim::presets::ContentionAllocation;
+use tpsim::presets::{self, ContentionAllocation};
 use tpsim_bench::microbench::{black_box, Criterion};
-use tpsim_bench::runner::{fig4_8_point, run_contention};
+use tpsim_bench::runner::run_contention;
 
 fn bench(c: &mut Criterion) {
     let settings = common::settings();
@@ -24,8 +24,10 @@ fn bench(c: &mut Criterion) {
             );
             group.bench_function(name, |b| {
                 b.iter(|| {
-                    let report =
-                        run_contention(&settings, fig4_8_point(allocation, granularity, 150.0));
+                    let report = run_contention(
+                        &settings,
+                        presets::contention_config(allocation, granularity, 150.0),
+                    );
                     black_box((report.throughput_tps, report.lock_conflict_ratio()))
                 })
             });

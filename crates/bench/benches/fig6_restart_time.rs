@@ -11,8 +11,9 @@
 
 mod common;
 
+use tpsim::presets;
 use tpsim_bench::microbench::{black_box, Criterion};
-use tpsim_bench::runner::{recovery_point, run_recovery_crash};
+use tpsim_bench::runner::run_recovery_crash;
 
 fn bench(c: &mut Criterion) {
     let settings = common::settings();
@@ -28,7 +29,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let report = run_recovery_crash(
                     &settings,
-                    recovery_point(force, nvem_log, checkpoint_interval_ms, 150.0),
+                    presets::recovery_config(force, nvem_log, checkpoint_interval_ms, 150.0),
                 );
                 black_box(report.restart_ms())
             })

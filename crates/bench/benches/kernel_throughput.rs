@@ -9,7 +9,8 @@
 //!   the engine (the structure the calendar queue replaced a binary heap in).
 //! * `quantile_sketch_insert` — streaming inserts into
 //!   [`simkernel::QuantileSketch`] at several capacities: the per-completion
-//!   cost the tail-latency section adds to the engine's hot path.
+//!   cost of the report's one percentile path, which every run pays (it
+//!   feeds `response_time.p95` as well as the tail-latency section).
 //! * `zipf` — [`simkernel::dist::Zipf`], the hot-spot sampler's ranking
 //!   distribution: its build at the hot 20 % of Debit-Credit's 50M accounts,
 //!   and its per-draw cost at the size of the largest synthetic trace file.
@@ -113,7 +114,7 @@ fn bench_engine(c: &mut Criterion) {
     for (label, config) in [
         (
             "quickstart/disk".to_string(),
-            runner::fig4_2_point(tpsim::presets::DebitCreditStorage::Disk, 100.0),
+            tpsim::presets::debit_credit_config(tpsim::presets::DebitCreditStorage::Disk, 100.0),
         ),
         (
             "fig5.x/8-nodes".to_string(),

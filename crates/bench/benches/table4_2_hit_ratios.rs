@@ -3,9 +3,9 @@
 
 mod common;
 
-use tpsim::presets::SecondLevel;
+use tpsim::presets::{self, SecondLevel};
 use tpsim_bench::microbench::{black_box, Criterion};
-use tpsim_bench::runner::{caching_point, run_debit_credit};
+use tpsim_bench::runner::run_debit_credit;
 
 fn bench(c: &mut Criterion) {
     let settings = common::settings();
@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let report = run_debit_credit(
                         &settings,
-                        caching_point(500, second, force, settings.caching_rate),
+                        presets::caching_config(500, second, force, settings.caching_rate),
                     );
                     black_box((report.mm_hit_ratio(), report.nvem_hit_ratio()))
                 })

@@ -5,15 +5,12 @@ use std::fmt::Write as _;
 
 use lockmgr::CcMode;
 use tpsim::presets::{
-    ContentionAllocation, DebitCreditStorage, LogVariant, SecondLevel, TraceStorage, DB_UNIT,
+    self, ContentionAllocation, DebitCreditStorage, LogVariant, SecondLevel, TraceStorage, DB_UNIT,
 };
 use tpsim::tables;
 use tpsim::{CoherenceParams, WorkloadParams, WorkloadSchedule};
 
-use crate::runner::{
-    self, caching_point, fig4_1_point, fig4_2_point, fig4_3_point, fig4_8_point, trace_point,
-    Family, RunSettings, SweepPoint,
-};
+use crate::runner::{self, fig4_3_point, Family, RunSettings, SweepPoint};
 
 /// Identifier and human-readable title of one experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +26,7 @@ pub struct Experiment {
 pub struct ExperimentResult {
     /// The experiment that was run.
     pub experiment: Experiment,
-    /// Formatted text table (also embedded into `EXPERIMENTS.md`).
+    /// Formatted text table, as the `experiments` binary prints it.
     pub table: String,
 }
 
@@ -283,7 +280,7 @@ fn fig4_1(settings: &RunSettings) -> String {
             points.push((
                 variant.label().to_string(),
                 rate,
-                fig4_1_point(variant, rate),
+                presets::log_allocation_config(variant, rate),
                 Family::DebitCredit,
             ));
         }
@@ -340,7 +337,7 @@ fn fig4_2(settings: &RunSettings) -> String {
             points.push((
                 storage.label().to_string(),
                 rate,
-                fig4_2_point(storage, rate),
+                presets::debit_credit_config(storage, rate),
                 Family::DebitCredit,
             ));
         }
@@ -412,7 +409,7 @@ fn fig4_4(settings: &RunSettings) -> String {
             points.push((
                 label.clone(),
                 mm as f64,
-                caching_point(mm, second, false, settings.caching_rate),
+                presets::caching_config(mm, second, false, settings.caching_rate),
                 Family::DebitCredit,
             ));
         }
@@ -444,7 +441,7 @@ fn table_4_2(settings: &RunSettings) -> String {
             points.push((
                 "main memory".to_string(),
                 mm as f64,
-                caching_point(mm, SecondLevel::None, force, settings.caching_rate),
+                presets::caching_config(mm, SecondLevel::None, force, settings.caching_rate),
                 Family::DebitCredit,
             ));
         }
@@ -453,7 +450,7 @@ fn table_4_2(settings: &RunSettings) -> String {
                 points.push((
                     label.clone(),
                     mm as f64,
-                    caching_point(mm, *second, force, settings.caching_rate),
+                    presets::caching_config(mm, *second, force, settings.caching_rate),
                     Family::DebitCredit,
                 ));
             }
@@ -527,7 +524,7 @@ fn fig4_5(settings: &RunSettings) -> String {
             points.push((
                 label.to_string(),
                 size as f64,
-                caching_point(500, second, false, settings.caching_rate),
+                presets::caching_config(500, second, false, settings.caching_rate),
                 Family::DebitCredit,
             ));
         }
@@ -595,7 +592,7 @@ fn fig4_6(settings: &RunSettings) -> String {
             points.push((
                 label.clone(),
                 mm as f64,
-                trace_point(mm, storage, settings.trace_rate),
+                presets::trace_config(mm, storage, settings.trace_rate),
                 Family::Trace,
             ));
         }
@@ -626,7 +623,7 @@ fn fig4_7(settings: &RunSettings) -> String {
             points.push((
                 label.to_string(),
                 size as f64,
-                trace_point(1_000, storage, settings.trace_rate),
+                presets::trace_config(1_000, storage, settings.trace_rate),
                 Family::Trace,
             ));
         }
@@ -661,7 +658,7 @@ fn fig4_8(settings: &RunSettings) -> String {
                 points.push((
                     label.clone(),
                     rate,
-                    fig4_8_point(allocation, granularity, rate),
+                    presets::contention_config(allocation, granularity, rate),
                     Family::Contention,
                 ));
             }
@@ -758,7 +755,7 @@ fn fig6_x(settings: &RunSettings) -> String {
             points.push((
                 label.to_string(),
                 interval,
-                runner::recovery_point(force, nvem_log, interval, rate),
+                presets::recovery_config(force, nvem_log, interval, rate),
                 Family::RecoveryCrash,
             ));
         }
@@ -953,9 +950,8 @@ fn fig8_x(settings: &RunSettings) -> String {
     );
     for p in &results {
         let r = &p.report;
-        // The default combination omits the coherence section (its reports
-        // stay byte-identical to pre-protocol-option ones); its lazy/transfer
-        // counters are all zero by construction.
+        // The default combination reports no coherence section; its
+        // lazy/transfer counters are all zero by construction.
         let (stale, transfers, fallbacks) = match &r.coherence {
             Some(c) => (
                 c.stale_validations,

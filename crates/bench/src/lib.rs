@@ -11,9 +11,9 @@
 //!
 //! The functions in this library build the configurations from
 //! [`tpsim::presets`], run the simulations (optionally in parallel across the
-//! points of a sweep), and format the results as text tables.  The same code
-//! paths are used by the binary and by the benches so the regenerated numbers
-//! in `EXPERIMENTS.md` are exactly what the benches exercise.
+//! points of a sweep), and format the results as text tables.  The binary and
+//! the benches share these code paths, so the tables the binary prints come
+//! from exactly the configurations the benches exercise.
 
 pub mod experiments;
 pub mod microbench;

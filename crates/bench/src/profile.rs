@@ -65,12 +65,12 @@ fn suite_points() -> Vec<(String, SimulationConfig, Family)> {
         .collect();
     points.push((
         "quickstart/disk".to_string(),
-        runner::fig4_2_point(tpsim::presets::DebitCreditStorage::Disk, 100.0),
+        tpsim::presets::debit_credit_config(tpsim::presets::DebitCreditStorage::Disk, 100.0),
         Family::DebitCredit,
     ));
     points.push((
         "fig6.x/noforce-disk-log".to_string(),
-        runner::recovery_point(false, false, 500.0, 150.0),
+        tpsim::presets::recovery_config(false, false, 500.0, 150.0),
         Family::RecoveryCrash,
     ));
     points.push((

@@ -5,11 +5,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use tpsim::presets::{self, DebitCreditStorage, LogVariant, SecondLevel, TraceStorage};
+use tpsim::presets::{self, DebitCreditStorage};
 use tpsim::{KernelProfile, Simulation, SimulationConfig, SimulationReport};
-
-use lockmgr::CcMode;
-use tpsim::presets::ContentionAllocation;
 
 /// How large and how long the experiment runs are.
 #[derive(Debug, Clone)]
@@ -280,19 +277,9 @@ pub fn run_sweep_profiled(
 }
 
 // ---------------------------------------------------------------------------
-// Convenience constructors for the configurations of each experiment,
-// re-exported for the Criterion benches.
+// Configurations that adjust a preset (per-node rate scaling, overridden
+// fields).  A point that uses a preset unchanged calls `tpsim::presets`.
 // ---------------------------------------------------------------------------
-
-/// Configuration of one Fig. 4.1 point.
-pub fn fig4_1_point(variant: LogVariant, rate: f64) -> SimulationConfig {
-    presets::log_allocation_config(variant, rate)
-}
-
-/// Configuration of one Fig. 4.2 point (NOFORCE).
-pub fn fig4_2_point(storage: DebitCreditStorage, rate: f64) -> SimulationConfig {
-    presets::debit_credit_config(storage, rate)
-}
 
 /// Configuration of one Fig. 4.3 point.
 pub fn fig4_3_point(storage: DebitCreditStorage, force: bool, rate: f64) -> SimulationConfig {
@@ -301,30 +288,6 @@ pub fn fig4_3_point(storage: DebitCreditStorage, force: bool, rate: f64) -> Simu
         c.buffer.update_strategy = bufmgr::UpdateStrategy::Force;
     }
     c
-}
-
-/// Configuration of one Fig. 4.4 / Fig. 4.5 / Table 4.2 point.
-pub fn caching_point(
-    mm_pages: usize,
-    second_level: SecondLevel,
-    force: bool,
-    rate: f64,
-) -> SimulationConfig {
-    presets::caching_config(mm_pages, second_level, force, rate)
-}
-
-/// Configuration of one Fig. 4.6 / Fig. 4.7 point.
-pub fn trace_point(mm_pages: usize, storage: TraceStorage, rate: f64) -> SimulationConfig {
-    presets::trace_config(mm_pages, storage, rate)
-}
-
-/// Configuration of one Fig. 4.8 point.
-pub fn fig4_8_point(
-    allocation: ContentionAllocation,
-    granularity: CcMode,
-    rate: f64,
-) -> SimulationConfig {
-    presets::contention_config(allocation, granularity, rate)
 }
 
 /// Configuration of one multi-node scaling point (`fig5_x_node_scaling`):
@@ -393,17 +356,6 @@ pub fn workload_point(
     c
 }
 
-/// Configuration of one restart-time point (`fig6_restart_time` / `fig6.x`):
-/// FORCE vs NOFORCE × disk- vs NVEM-resident log × checkpoint interval.
-pub fn recovery_point(
-    force: bool,
-    nvem_log: bool,
-    checkpoint_interval_ms: f64,
-    rate: f64,
-) -> SimulationConfig {
-    presets::recovery_config(force, nvem_log, checkpoint_interval_ms, rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,13 +367,13 @@ mod tests {
             (
                 "disk".to_string(),
                 50.0,
-                fig4_2_point(DebitCreditStorage::Disk, 50.0),
+                presets::debit_credit_config(DebitCreditStorage::Disk, 50.0),
                 Family::DebitCredit,
             ),
             (
                 "nvem".to_string(),
                 50.0,
-                fig4_2_point(DebitCreditStorage::NvemResident, 50.0),
+                presets::debit_credit_config(DebitCreditStorage::NvemResident, 50.0),
                 Family::DebitCredit,
             ),
         ];
@@ -440,13 +392,13 @@ mod tests {
                 (
                     "a".to_string(),
                     100.0,
-                    fig4_2_point(DebitCreditStorage::Ssd, 100.0),
+                    presets::debit_credit_config(DebitCreditStorage::Ssd, 100.0),
                     Family::DebitCredit,
                 ),
                 (
                     "b".to_string(),
                     100.0,
-                    fig4_2_point(DebitCreditStorage::Disk, 100.0),
+                    presets::debit_credit_config(DebitCreditStorage::Disk, 100.0),
                     Family::DebitCredit,
                 ),
             ]
@@ -534,6 +486,8 @@ mod tests {
             assert_eq!(s.report, p.report);
             let tail = s.report.tail.expect("shaped run carries the tail section");
             assert!(tail.count > 0);
+            // One percentile path: the response-time p95 is the sketch's.
+            assert_eq!(s.report.response_time.p95, tail.p95);
             assert!(tail.p50 <= tail.p99 && tail.p99 <= tail.p999);
         }
     }

@@ -42,8 +42,8 @@ pub struct BufferManager {
     stats: BufferStats,
     /// Invalidations that found no buffered copy to drop but did clear a
     /// dirty-page-table entry (the page was evicted/written back while a
-    /// remote commit superseded its redo entry).  Kept outside
-    /// [`BufferStats`] so report renderings stay byte-identical.
+    /// remote commit superseded its redo entry).  A bookkeeping diagnostic,
+    /// not a report figure, so it lives outside [`BufferStats`].
     dpt_only_clears: u64,
 }
 

@@ -245,25 +245,6 @@ pub enum LogAllocation {
     DiskUnitViaNvemWriteBuffer(usize),
 }
 
-/// Update-propagation policy the recovery subsystem assumes (Härder/Reuter).
-///
-/// Under [`ForcePolicy::Force`] every committed update is already in the
-/// permanent database (or non-volatile intermediate storage) at commit, so a
-/// crash loses no committed work and restart degenerates to a log scan.
-/// Under [`ForcePolicy::NoForce`] committed updates may exist only in the
-/// volatile main-memory buffer and must be redone from the log after a crash.
-/// When recovery is enabled the policy must agree with
-/// [`bufmgr::UpdateStrategy`] in [`SimulationConfig::buffer`] (checked by
-/// [`SimulationConfig::validate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForcePolicy {
-    /// Modified pages are propagated at commit; restart needs no page redo.
-    Force,
-    /// Modified pages are propagated lazily; restart redoes committed
-    /// updates from the log.
-    NoForce,
-}
-
 /// Where the *active* redo-log tail (everything after the last checkpoint)
 /// lives for restart purposes (§3.3: NVEM-resident log truncation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,10 +273,6 @@ pub struct RecoveryParams {
     /// the redo boundary to the oldest committed-but-unpropagated update and
     /// truncates the redo log before it.
     pub checkpoint_interval_ms: SimTime,
-    /// The update-propagation policy recovery assumes; must match
-    /// [`SimulationConfig::buffer`]`.update_strategy` when recovery is
-    /// enabled.
-    pub force_policy: ForcePolicy,
     /// Where the active log tail is kept for restart reads.
     pub log_truncation: LogTruncation,
 }
@@ -307,29 +284,22 @@ impl Default for RecoveryParams {
 }
 
 impl RecoveryParams {
-    /// Recovery switched off (no checkpoints, NOFORCE assumptions,
-    /// disk-resident log tail).  This is the default of every preset.
+    /// Recovery switched off (no checkpoints, disk-resident log tail).  This
+    /// is the default of every preset.
     pub fn disabled() -> Self {
         Self {
             checkpoint_interval_ms: 0.0,
-            force_policy: ForcePolicy::NoForce,
             log_truncation: LogTruncation::DiskResident,
         }
     }
 
-    /// Checkpointing enabled at the given interval with NOFORCE assumptions.
-    pub fn noforce(checkpoint_interval_ms: SimTime) -> Self {
+    /// Checkpointing enabled at the given interval with a disk-resident log
+    /// tail.  Whether restart must redo committed updates follows from
+    /// [`SimulationConfig::buffer`]`.update_strategy` (FORCE propagates them
+    /// at commit, NOFORCE leaves them to redo).
+    pub fn checkpointing(checkpoint_interval_ms: SimTime) -> Self {
         Self {
             checkpoint_interval_ms,
-            ..Self::disabled()
-        }
-    }
-
-    /// Checkpointing enabled at the given interval with FORCE assumptions.
-    pub fn force(checkpoint_interval_ms: SimTime) -> Self {
-        Self {
-            checkpoint_interval_ms,
-            force_policy: ForcePolicy::Force,
             ..Self::disabled()
         }
     }
@@ -338,18 +308,6 @@ impl RecoveryParams {
     /// enabled.
     pub fn enabled(&self) -> bool {
         self.checkpoint_interval_ms > 0.0
-    }
-
-    /// True if the recovery force policy agrees with the buffer manager's
-    /// update strategy (the single source of truth for the consistency check
-    /// in [`SimulationConfig::validate`] and
-    /// [`crate::Simulation::simulate_crash_at`]).
-    pub fn matches_update_strategy(&self, strategy: bufmgr::UpdateStrategy) -> bool {
-        matches!(
-            (self.force_policy, strategy),
-            (ForcePolicy::Force, bufmgr::UpdateStrategy::Force)
-                | (ForcePolicy::NoForce, bufmgr::UpdateStrategy::NoForce)
-        )
     }
 }
 
@@ -445,9 +403,8 @@ impl CoherenceParams {
     }
 
     /// True for the default broadcast-invalidation / disk-reread
-    /// combination — runs whose reports must stay byte-identical to those
-    /// captured before the protocol options existed (the delay/cost knobs
-    /// are irrelevant then: neither protocol message is ever sent).
+    /// combination, which never sends a protocol message (the delay/cost
+    /// knobs are irrelevant then) and reports no coherence section.
     pub fn is_default_protocol(&self) -> bool {
         self.protocol == CoherenceProtocol::BroadcastInvalidate
             && self.page_transfer == PageTransfer::DiskReread
@@ -617,8 +574,8 @@ impl WorkloadSchedule {
 
 /// Open-system workload shaping: the arrival-rate schedule plus the
 /// hot-spot skew applied to the page-access pattern.  The default (constant
-/// rate, no skew) reproduces the paper's model exactly — byte-identical
-/// reports, untouched RNG draw sequences.
+/// rate, no skew) reproduces the paper's model exactly, with untouched RNG
+/// draw sequences.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkloadParams {
     /// Arrival-rate schedule.
@@ -637,8 +594,7 @@ impl WorkloadParams {
     }
 
     /// True when any workload shaping is active; gates the tail-latency
-    /// report section (reports of unshaped runs stay byte-identical to
-    /// those captured before this module existed).
+    /// report section.
     pub fn is_active(&self) -> bool {
         !self.schedule.is_constant() || self.hot_spot.is_active()
     }
@@ -686,12 +642,12 @@ pub struct SimulationConfig {
     pub coherence: CoherenceParams,
     /// Same-page read coalescing on every storage unit: a synchronous read
     /// of a page that already has a read in flight on its unit joins that
-    /// read instead of issuing its own.  Off by default, which keeps every
-    /// report byte-identical to runs captured before coalescing existed.
+    /// read instead of issuing its own.  Off by default: every read then
+    /// issues its own request, as in the paper's model.
     pub coalesce_reads: bool,
     /// Open-system workload shaping: arrival-rate schedule and hot-spot
     /// skew.  Inactive by default — unshaped runs keep the paper's constant
-    /// Poisson arrivals and uniform/b-c-rule access, byte-identical.
+    /// Poisson arrivals and uniform/b-c-rule access.
     pub workload: WorkloadParams,
     /// Transaction arrival rate in transactions per second (open system,
     /// Poisson arrivals).  Time-varying schedules scale this base rate.
@@ -794,16 +750,8 @@ impl SimulationConfig {
         {
             return Err("checkpoint interval must be non-negative".into());
         }
-        if self.recovery.enabled() {
-            if !self.cm.logging {
-                return Err("recovery requires logging to be enabled".into());
-            }
-            if !self
-                .recovery
-                .matches_update_strategy(self.buffer.update_strategy)
-            {
-                return Err("recovery force policy must match the buffer update strategy".into());
-            }
+        if self.recovery.enabled() && !self.cm.logging {
+            return Err("recovery requires logging to be enabled".into());
         }
         self.buffer.validate()?;
         // Every device reference must exist.
@@ -1077,21 +1025,17 @@ mod tests {
         assert!(c.validate().is_err());
         // Enabled recovery needs logging ...
         let mut c = minimal_config();
-        c.recovery = RecoveryParams::noforce(1_000.0);
+        c.recovery = RecoveryParams::checkpointing(1_000.0);
         c.cm.logging = false;
         assert!(c.validate().is_err());
-        // ... and a force policy that matches the buffer update strategy.
+        // ... and runs under either update strategy.
         let mut c = minimal_config();
-        c.recovery = RecoveryParams::force(1_000.0);
-        assert!(c.validate().is_err());
+        c.recovery = RecoveryParams::checkpointing(1_000.0);
+        assert!(c.validate().is_ok());
         c.buffer.update_strategy = bufmgr::UpdateStrategy::Force;
         assert!(c.validate().is_ok());
-        // A mismatching policy is fine while recovery is disabled.
-        let mut c = minimal_config();
-        c.recovery.force_policy = ForcePolicy::Force;
-        assert!(c.validate().is_ok());
         assert!(!RecoveryParams::disabled().enabled());
-        assert!(RecoveryParams::noforce(10.0).enabled());
+        assert!(RecoveryParams::checkpointing(10.0).enabled());
     }
 
     #[test]
@@ -1126,7 +1070,7 @@ mod tests {
         // … but refuses recovery and FORCE (both are data-sharing-only).
         let mut c = minimal_config();
         c.architecture = Architecture::SharedNothing;
-        c.recovery = RecoveryParams::noforce(500.0);
+        c.recovery = RecoveryParams::checkpointing(500.0);
         assert!(c.validate().is_err());
         let mut c = minimal_config();
         c.architecture = Architecture::SharedNothing;

@@ -29,7 +29,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         }
         let resp = now - arrival;
         self.response.record(resp);
-        self.response_hist.record(resp);
         let slot = match self.per_type.binary_search_by_key(&tx_type, |(ty, _)| *ty) {
             Ok(i) => i,
             Err(i) => {
@@ -51,7 +50,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.warmup_done = true;
         self.measure_start = now;
         self.response.reset();
-        self.response_hist.reset();
         self.per_type.clear();
         self.completed = 0;
         self.aborts = 0;
@@ -105,6 +103,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.active_tw.record(now, self.total_active as f64);
         self.inputq_tw.record(now, self.total_queued as f64);
 
+        // Every percentile in the report reads one cluster-wide sketch: the
+        // merge of the per-node sketches, moved out of the consumed engine.
+        let mut sketch = QuantileSketch::default();
+        for node in &mut self.nodes {
+            sketch.merge(std::mem::take(&mut node.response_sketch));
+        }
         let response_time = if self.response.count() > 0 {
             ResponseTimeStats {
                 count: self.response.count(),
@@ -112,7 +116,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 std_dev: self.response.std_dev().unwrap_or(0.0),
                 min: self.response.min().unwrap_or(0.0),
                 max: self.response.max().unwrap_or(0.0),
-                p95: self.response_hist.quantile(0.95).unwrap_or(0.0),
+                p95: sketch.quantile(0.95).unwrap_or(0.0),
             }
         } else {
             ResponseTimeStats::empty()
@@ -197,29 +201,18 @@ impl<W: WorkloadGenerator> Simulation<W> {
             restart,
         });
 
-        // The shipping section exists exactly for shared-nothing runs;
-        // data-sharing reports omit it (and render byte-identically to
-        // reports from before the shared-nothing mode).
+        // The shipping, coherence and tail sections exist exactly for the
+        // runs they describe: shared-nothing runs, non-default protocol /
+        // transfer combinations and shaped workloads (non-constant schedule
+        // and/or hot-spot skew).
         let shipping = self.partition_map.is_some().then(|| self.shipping.clone());
-
-        // The coherence section exists exactly for non-default protocol /
-        // transfer combinations; default broadcast/disk-reread reports omit
-        // it (and render byte-identically to pre-protocol-option reports).
         let coherence =
             (!self.config.coherence.is_default_protocol()).then_some(self.coherence_stats);
-
-        // The tail-latency section exists exactly for shaped workloads
-        // (non-constant schedule and/or hot-spot skew); unshaped reports
-        // omit it and render byte-identically to pre-workload-engine
-        // reports.  The cluster-wide sketch is the merge of the per-node
-        // sketches — the cross-node aggregation path the sketch exists for.
-        let tail = self.config.workload.is_active().then(|| {
-            let mut merged = QuantileSketch::default();
-            for node in &self.nodes {
-                merged.merge(&node.response_sketch);
-            }
-            TailLatencyReport::from_sketch(&merged)
-        });
+        let tail = self
+            .config
+            .workload
+            .is_active()
+            .then(|| TailLatencyReport::from_sketch(&mut sketch));
 
         let nvem_capacity = self.config.nvem.num_servers.max(1) as f64;
         SimulationReport {

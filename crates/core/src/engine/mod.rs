@@ -80,7 +80,7 @@ use dbmodel::{PageId, PartitionMap, PartitionScheme, WorkloadGenerator};
 use lockmgr::{GlobalLockService, GlobalLockStats, LockManagerStats};
 use simkernel::dist::PiecewiseRate;
 use simkernel::sketch::QuantileSketch;
-use simkernel::stats::{Histogram, Tally, TimeWeighted};
+use simkernel::stats::{Tally, TimeWeighted};
 use simkernel::time::{interarrival_ms, SimTime};
 use simkernel::{EventQueue, Resource, SimRng};
 use storage::{DiskUnitStats, ReadCoalescer, StorageDevice};
@@ -178,7 +178,8 @@ struct NodeRuntime {
     redo_records: u64,
     response: Tally,
     /// Streaming response-time sketch; merged across nodes at report time
-    /// for the cluster-wide p99/p999 (see `metrics::TailLatencyReport`).
+    /// for the cluster-wide percentiles (`ResponseTimeStats::p95` and
+    /// `metrics::TailLatencyReport`).
     response_sketch: QuantileSketch,
     active_tw: TimeWeighted,
     inputq_tw: TimeWeighted,
@@ -304,7 +305,6 @@ pub struct Simulation<W: WorkloadGenerator> {
     // Aggregate statistics (sums over all nodes, kept incrementally so the
     // single-node report is identical to the per-node one).
     response: Tally,
-    response_hist: Histogram,
     /// Per-transaction-type response tallies, sorted by `tx_type`.  A sorted
     /// small vec (binary-search lookup) instead of a `HashMap`: the distinct
     /// type count is tiny, and unlike direct indexing it stays bounded for
@@ -434,7 +434,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             crashed: false,
             crash_stats: None,
             response: Tally::new(),
-            response_hist: Histogram::new(2.0, 5_000),
             per_type: Vec::new(),
             completed: 0,
             aborts: 0,
@@ -476,12 +475,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         assert!(
             self.config.architecture == Architecture::DataSharing,
             "crash recovery is only modelled for the data-sharing architecture"
-        );
-        assert!(
-            self.config
-                .recovery
-                .matches_update_strategy(self.config.buffer.update_strategy),
-            "recovery force policy must match the buffer update strategy"
         );
         if self.recovery.is_none() {
             self.recovery = Some(RecoveryRuntime::new(self.config.cm.log_record_bytes));

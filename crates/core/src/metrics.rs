@@ -23,7 +23,9 @@ pub struct ResponseTimeStats {
     pub min: f64,
     /// Maximum observed response time.
     pub max: f64,
-    /// Approximate 95th percentile.
+    /// 95th percentile, read from the same merged quantile sketch as
+    /// [`TailLatencyReport`] (so it equals `tail.p95` whenever that section
+    /// is present).
     pub p95: f64,
 }
 
@@ -43,11 +45,7 @@ impl ResponseTimeStats {
 }
 
 /// Per-storage-device report.
-///
-/// `Debug` is implemented by hand (field-for-field like the derive) so the
-/// `coalesced_reads` line only renders when the run coalesced reads: goldens
-/// captured before coalescing existed stay byte-identical.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceReport {
     /// Device name (e.g. "db-disks", "log-disk", "nvem-log").
     pub name: String,
@@ -61,24 +59,8 @@ pub struct DeviceReport {
     /// Cache / absorption counters.
     pub stats: DiskUnitStats,
     /// Reads that joined an in-flight read of the same page; `Some` exactly
-    /// when the run set [`crate::SimulationConfig::coalesce_reads`] (and
-    /// omitted from the `Debug` rendering otherwise).
+    /// when the run set [`crate::SimulationConfig::coalesce_reads`].
     pub coalesced_reads: Option<u64>,
-}
-
-impl std::fmt::Debug for DeviceReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("DeviceReport");
-        s.field("name", &self.name)
-            .field("disk_utilization", &self.disk_utilization)
-            .field("controller_utilization", &self.controller_utilization)
-            .field("avg_disk_wait", &self.avg_disk_wait)
-            .field("stats", &self.stats);
-        if self.coalesced_reads.is_some() {
-            s.field("coalesced_reads", &self.coalesced_reads);
-        }
-        s.finish()
-    }
 }
 
 /// Per-node (computing module) report of a data-sharing run.
@@ -170,10 +152,8 @@ pub struct RestartReport {
     pub locks_reacquired: u64,
 }
 
-/// Function-shipping statistics of a shared-nothing run, present whenever
-/// [`crate::config::Architecture::SharedNothing`] is configured (and absent —
-/// not even rendered — otherwise, so data-sharing reports are byte-identical
-/// to reports from before the shared-nothing mode existed).
+/// Function-shipping statistics of a shared-nothing run, present exactly
+/// when [`crate::config::Architecture::SharedNothing`] is configured.
 ///
 /// An *object reference* is local when the referenced page's partition is
 /// owned by the transaction's home node and remote (a function-shipped call)
@@ -234,9 +214,8 @@ impl ShippingReport {
 
 /// Coherence-protocol statistics of a multi-node data-sharing run under a
 /// non-default [`crate::config::CoherenceParams`] combination (on-request
-/// validation and/or direct page transfer).  Absent — not even rendered —
-/// for the default broadcast-invalidation / disk-reread combination, so all
-/// reports captured before the protocol options existed stay byte-identical.
+/// validation and/or direct page transfer).  Absent for the default
+/// broadcast-invalidation / disk-reread combination.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoherenceReport {
     /// Buffered copies found stale by a reference-time version check and
@@ -349,7 +328,7 @@ pub struct TailLatencyReport {
 
 impl TailLatencyReport {
     /// Reads the tail percentiles out of a (possibly merged) sketch.
-    pub fn from_sketch(sketch: &QuantileSketch) -> Self {
+    pub fn from_sketch(sketch: &mut QuantileSketch) -> Self {
         TailLatencyReport {
             count: sketch.count(),
             p50: sketch.quantile(0.5).unwrap_or(0.0),
@@ -375,11 +354,9 @@ pub struct TxTypeReport {
 
 /// The complete result of one simulation run.
 ///
-/// `Debug` is implemented by hand (field-for-field like the derive) so the
-/// `shipping` section only renders for shared-nothing runs: the `{:#?}`
-/// goldens of data-sharing reports captured before the shared-nothing mode
-/// stay byte-identical.
-#[derive(Clone, PartialEq)]
+/// The `{:#?}` rendering is the derived one: a section a run does not
+/// produce renders as `None`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     /// Configured arrival rate (TPS).
     pub arrival_rate_tps: f64,
@@ -419,59 +396,19 @@ pub struct SimulationReport {
     /// was inactive (checkpointing disabled and no crash simulated).
     pub recovery: Option<RecoveryReport>,
     /// Coherence-protocol statistics; `Some` exactly when a non-default
-    /// protocol/transfer combination ran (and omitted from the `Debug`
-    /// rendering otherwise, keeping older goldens byte-identical).
+    /// protocol/transfer combination ran.
     pub coherence: Option<CoherenceReport>,
-    /// Function-shipping statistics; `Some` exactly for shared-nothing runs
-    /// (and omitted from the `Debug` rendering otherwise).
+    /// Function-shipping statistics; `Some` exactly for shared-nothing runs.
     pub shipping: Option<ShippingReport>,
     /// Tail-latency percentiles from the merged per-node quantile sketches;
     /// `Some` exactly when the workload was shaped (non-constant schedule or
-    /// hot-spot skew) and omitted from the `Debug` rendering otherwise.
+    /// hot-spot skew).
     pub tail: Option<TailLatencyReport>,
     /// Per-storage-device reports (one per configured [`storage::DeviceSpec`]).
     pub devices: Vec<DeviceReport>,
     /// Per-node breakdown (one entry per computing module; a single-node run
     /// has one entry mirroring the aggregate fields).
     pub nodes: Vec<NodeReport>,
-}
-
-impl std::fmt::Debug for SimulationReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("SimulationReport");
-        s.field("arrival_rate_tps", &self.arrival_rate_tps)
-            .field("completed", &self.completed)
-            .field("aborts", &self.aborts)
-            .field("log_group_writes", &self.log_group_writes)
-            .field("measured_time_ms", &self.measured_time_ms)
-            .field("throughput_tps", &self.throughput_tps)
-            .field("response_time", &self.response_time)
-            .field("per_type", &self.per_type)
-            .field("cpu_utilization", &self.cpu_utilization)
-            .field("nvem_utilization", &self.nvem_utilization)
-            .field("avg_active_transactions", &self.avg_active_transactions)
-            .field("avg_input_queue", &self.avg_input_queue)
-            .field("buffer", &self.buffer)
-            .field("locks", &self.locks)
-            .field("global_locks", &self.global_locks)
-            .field("recovery", &self.recovery);
-        // Pre-shared-nothing reports had no such field; rendering it only
-        // when present keeps the committed data-sharing goldens byte-exact.
-        // The coherence section follows the same rule for pre-protocol-option
-        // reports (default broadcast/disk-reread runs never carry one).
-        if self.coherence.is_some() {
-            s.field("coherence", &self.coherence);
-        }
-        if self.shipping.is_some() {
-            s.field("shipping", &self.shipping);
-        }
-        if self.tail.is_some() {
-            s.field("tail", &self.tail);
-        }
-        s.field("devices", &self.devices)
-            .field("nodes", &self.nodes)
-            .finish()
-    }
 }
 
 impl SimulationReport {
@@ -614,12 +551,29 @@ mod tests {
 
     #[test]
     fn convenience_accessors() {
-        let r = dummy_report();
+        let mut r = dummy_report();
         assert!((r.mm_hit_ratio() - 0.7).abs() < 1e-12);
         assert!((r.nvem_hit_ratio() - 0.1).abs() < 1e-12);
         assert!((r.disk_cache_hit_ratio(0) - 0.25).abs() < 1e-12);
         assert_eq!(r.disk_cache_hit_ratio(5), 0.0);
         assert!((r.lock_conflict_ratio() - 0.05).abs() < 1e-12);
+
+        assert_eq!(r.remote_access_fraction(), 0.0);
+        let mut shipping = ShippingReport::empty(2);
+        shipping.local_refs = 30;
+        shipping.remote_calls = 10;
+        r.shipping = Some(shipping);
+        assert!((r.remote_access_fraction() - 0.25).abs() < 1e-12);
+
+        let mut sketch = QuantileSketch::new(64);
+        for i in 0..1000 {
+            sketch.insert(i as f64);
+        }
+        let tail = TailLatencyReport::from_sketch(&mut sketch);
+        assert_eq!(tail.count, 1000);
+        assert_eq!(tail.max, 999.0);
+        assert!(tail.p50 <= tail.p95 && tail.p95 <= tail.p99);
+        assert!(tail.p99 <= tail.p999 && tail.p999 <= tail.max);
     }
 
     #[test]
@@ -628,72 +582,6 @@ mod tests {
         assert!(line.contains("100.0 TPS"));
         assert!(line.contains("25.00 ms"));
         assert!(line.contains("70.0%"));
-    }
-
-    #[test]
-    fn shipping_section_renders_only_when_present() {
-        let mut r = dummy_report();
-        assert_eq!(r.remote_access_fraction(), 0.0);
-        let without = format!("{r:#?}");
-        assert!(!without.contains("shipping"));
-        let mut shipping = ShippingReport::empty(2);
-        shipping.local_refs = 30;
-        shipping.remote_calls = 10;
-        r.shipping = Some(shipping);
-        let with = format!("{r:#?}");
-        assert!(with.contains("shipping"));
-        assert!((r.remote_access_fraction() - 0.25).abs() < 1e-12);
-        // The two renderings differ only by the shipping section: stripping
-        // it restores the data-sharing form field for field.
-        assert!(with.len() > without.len());
-    }
-
-    #[test]
-    fn tail_section_renders_only_when_present() {
-        let mut r = dummy_report();
-        let without = format!("{r:#?}");
-        assert!(!without.contains("tail"));
-        let mut sketch = QuantileSketch::new(64);
-        for i in 0..1000 {
-            sketch.insert(i as f64);
-        }
-        r.tail = Some(TailLatencyReport::from_sketch(&sketch));
-        let with = format!("{r:#?}");
-        assert!(with.contains("tail"));
-        assert!(with.contains("p999"));
-        assert!(with.contains("rank_error_bound"));
-        assert!(with.len() > without.len());
-        let tail = r.tail.unwrap();
-        assert_eq!(tail.count, 1000);
-        assert_eq!(tail.max, 999.0);
-        assert!(tail.p50 <= tail.p95 && tail.p95 <= tail.p99);
-        assert!(tail.p99 <= tail.p999 && tail.p999 <= tail.max);
-    }
-
-    #[test]
-    fn coherence_section_renders_only_when_present() {
-        let mut r = dummy_report();
-        let without = format!("{r:#?}");
-        assert!(!without.contains("coherence"));
-        let mut coherence = CoherenceReport::empty();
-        coherence.stale_validations = 7;
-        coherence.direct_transfers = 3;
-        r.coherence = Some(coherence);
-        let with = format!("{r:#?}");
-        assert!(with.contains("coherence"));
-        assert!(with.contains("stale_validations: 7"));
-        assert!(with.len() > without.len());
-    }
-
-    #[test]
-    fn scheduler_section_renders_only_when_present() {
-        let mut r = dummy_report();
-        let without = format!("{r:#?}");
-        assert!(!without.contains("coalesced_reads"));
-        r.devices[0].coalesced_reads = Some(4);
-        let with = format!("{r:#?}");
-        assert!(format!("{:?}", r.devices[0]).contains("coalesced_reads: Some(4)"));
-        assert!(with.len() > without.len());
     }
 
     #[test]

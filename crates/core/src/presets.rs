@@ -34,7 +34,7 @@ use simkernel::SimRng;
 use storage::{DeviceSpec, DiskUnitKind, DiskUnitParams, NvemParams};
 
 use crate::config::{
-    Architecture, CmParams, CoherenceParams, ForcePolicy, LogAllocation, LogTruncation, NodeParams,
+    Architecture, CmParams, CoherenceParams, LogAllocation, LogTruncation, NodeParams,
     PartitioningParams, RecoveryParams, SimulationConfig, WorkloadParams,
 };
 
@@ -334,10 +334,9 @@ pub fn shared_nothing_config(num_nodes: usize, arrival_rate_tps: f64) -> Simulat
 /// Debit-Credit database with recovery enabled, crossing FORCE vs NOFORCE
 /// with a disk- vs NVEM-resident log.
 ///
-/// * `force` selects the update strategy **and** the matching
-///   [`ForcePolicy`]: under FORCE every committed update is propagated at
-///   commit and restart degenerates to a log scan; under NOFORCE restart
-///   must redo the lost updates.
+/// * `force` selects the buffer update strategy: under FORCE every
+///   committed update is propagated at commit and restart degenerates to a
+///   log scan; under NOFORCE restart must redo the lost updates.
 /// * `nvem_log` moves the log to NVEM ([`LogAllocation::Nvem`] +
 ///   [`LogTruncation::NvemResident`]), so both commit log writes and the
 ///   restart's log-tail reads run at NVEM speed instead of paying the log
@@ -359,11 +358,6 @@ pub fn recovery_config(
     let mut config = debit_credit_config(DebitCreditStorage::Disk, arrival_rate_tps);
     config.recovery = RecoveryParams {
         checkpoint_interval_ms,
-        force_policy: if force {
-            ForcePolicy::Force
-        } else {
-            ForcePolicy::NoForce
-        },
         log_truncation: if nvem_log {
             LogTruncation::NvemResident
         } else {
@@ -779,7 +773,6 @@ mod tests {
         assert_eq!(nvem.recovery.log_truncation, LogTruncation::NvemResident);
         let force = recovery_config(true, false, 1_000.0, 150.0);
         assert_eq!(force.buffer.update_strategy, UpdateStrategy::Force);
-        assert_eq!(force.recovery.force_policy, ForcePolicy::Force);
         // With recovery disabled the base preset is unchanged.
         assert_eq!(
             recovery_config(false, false, 0.0, 150.0),

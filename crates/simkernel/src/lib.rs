@@ -31,5 +31,5 @@ pub use events::{EventQueue, ScheduledEvent};
 pub use resource::{Resource, ResourceStats};
 pub use rng::SimRng;
 pub use sketch::QuantileSketch;
-pub use stats::{Counter, Histogram, Tally, TimeWeighted};
+pub use stats::{Counter, Tally, TimeWeighted};
 pub use time::SimTime;

@@ -105,9 +105,11 @@ impl QuantileSketch {
         }
     }
 
-    /// Merges another sketch into this one.  Counts, extremes and error
-    /// bounds add; the result answers quantiles over the union stream.
-    pub fn merge(&mut self, other: &QuantileSketch) {
+    /// Merges another sketch into this one, taking ownership of its levels.
+    /// Counts, extremes and error bounds add; the result answers quantiles
+    /// over the union stream.  A level this sketch does not hold yet is
+    /// moved over without copying its items.
+    pub fn merge(&mut self, other: QuantileSketch) {
         if other.count == 0 {
             return;
         }
@@ -119,12 +121,16 @@ impl QuantileSketch {
             self.max = other.max;
         }
         self.rank_error_bound += other.rank_error_bound;
-        for (l, items) in other.levels.iter().enumerate() {
+        for (l, mut items) in other.levels.into_iter().enumerate() {
             while self.levels.len() <= l {
                 self.levels.push(Vec::new());
                 self.keep_odd.push(false);
             }
-            self.levels[l].extend_from_slice(items);
+            if self.levels[l].is_empty() {
+                self.levels[l] = items;
+            } else {
+                self.levels[l].append(&mut items);
+            }
         }
         let mut l = 0;
         while l < self.levels.len() {
@@ -151,7 +157,12 @@ impl QuantileSketch {
     /// weight first reaches rank `ceil(q · count)`.  Returns `None` for an
     /// empty sketch.  `q <= 0` yields the exact minimum, `q >= 1` the exact
     /// maximum.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    ///
+    /// Sorts each level in place and walks the levels in value order with
+    /// one cursor per level, so a query allocates only the cursors.  A
+    /// compaction sorts its level anyway, so the in-place sort never changes
+    /// what later insertions or merges keep.
+    pub fn quantile(&mut self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -161,21 +172,31 @@ impl QuantileSketch {
         if q >= 1.0 {
             return Some(self.max);
         }
-        let mut items: Vec<(f64, u64)> = Vec::new();
-        for (l, level) in self.levels.iter().enumerate() {
-            let weight = 1u64 << l;
-            items.extend(level.iter().map(|&v| (v, weight)));
+        for level in &mut self.levels {
+            level.sort_by(|a, b| a.total_cmp(b));
         }
-        items.sort_by(|a, b| a.0.total_cmp(&b.0));
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cursors = vec![0usize; self.levels.len()];
         let mut cum = 0u64;
-        for (v, w) in items {
-            cum += w;
+        loop {
+            // The level whose next unread item is the smallest.
+            let mut next: Option<(usize, f64)> = None;
+            for (l, level) in self.levels.iter().enumerate() {
+                if let Some(&v) = level.get(cursors[l]) {
+                    if next.is_none_or(|(_, best)| v.total_cmp(&best).is_lt()) {
+                        next = Some((l, v));
+                    }
+                }
+            }
+            let Some((l, v)) = next else {
+                return Some(self.max);
+            };
+            cursors[l] += 1;
+            cum += 1u64 << l;
             if cum >= target {
                 return Some(v);
             }
         }
-        Some(self.max)
     }
 
     /// Compacts level `l`: sorts it, promotes every other item (weight
@@ -268,7 +289,7 @@ mod tests {
 
     #[test]
     fn empty_sketch_answers_none() {
-        let s = QuantileSketch::new(64);
+        let mut s = QuantileSketch::new(64);
         assert_eq!(s.count(), 0);
         assert!(s.quantile(0.5).is_none());
         assert!(s.min().is_none());
@@ -359,6 +380,28 @@ mod tests {
     }
 
     #[test]
+    fn querying_mid_stream_never_changes_later_compactions() {
+        // `quantile` sorts levels in place; a sketch queried every few
+        // hundred inserts must end up exactly like one never queried.
+        let mut rng = SimRng::seed_from(19);
+        let samples: Vec<f64> = (0..20_000).map(|_| rng.exponential(30.0)).collect();
+        let mut queried = QuantileSketch::new(16);
+        let mut untouched = QuantileSketch::new(16);
+        for (i, &v) in samples.iter().enumerate() {
+            queried.insert(v);
+            untouched.insert(v);
+            if i % 300 == 0 {
+                queried.quantile(0.95);
+            }
+        }
+        for q in [0.01, 0.5, 0.9, 0.95, 0.99, 0.999] {
+            assert_eq!(queried.quantile(q), untouched.quantile(q), "q={q}");
+        }
+        assert_eq!(queried.rank_error_bound(), untouched.rank_error_bound());
+        assert_eq!(queried.stored_items(), untouched.stored_items());
+    }
+
+    #[test]
     fn merge_of_shards_matches_concatenation_bound() {
         let mut rng = SimRng::seed_from(16);
         let samples: Vec<f64> = (0..24_000).map(|_| rng.exponential(25.0)).collect();
@@ -377,7 +420,7 @@ mod tests {
             for &v in shard {
                 s.insert(v);
             }
-            merged.merge(&s);
+            merged.merge(s);
         }
         assert_eq!(merged.count(), whole.count());
         assert_eq!(merged.min(), whole.min());
@@ -409,10 +452,10 @@ mod tests {
         }
         let empty = QuantileSketch::new(32);
         let before = a.quantile(0.5);
-        a.merge(&empty);
+        a.merge(empty);
         assert_eq!(a.quantile(0.5), before);
         let mut b = QuantileSketch::new(32);
-        b.merge(&a);
+        b.merge(a.clone());
         assert_eq!(b.count(), a.count());
         assert_eq!(b.quantile(0.99), a.quantile(0.99));
     }

@@ -1,9 +1,10 @@
 //! Statistics accumulators.
 //!
 //! TPSIM reports response times (tally statistics over observations), device
-//! utilizations and queue lengths (time-weighted statistics), hit ratios and
-//! event counts (counters), and response-time distributions (histograms).
-//! All accumulators support being reset at the end of a warm-up period.
+//! utilizations and queue lengths (time-weighted statistics), hit ratios
+//! and event counts (counters); response-time percentiles come from
+//! [`crate::sketch::QuantileSketch`].  All accumulators support being reset
+//! at the end of a warm-up period.
 
 use crate::time::SimTime;
 
@@ -191,81 +192,6 @@ impl Counter {
     }
 }
 
-/// Fixed-bucket histogram for response-time distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    tally: Tally,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `bucket_width` each;
-    /// values beyond the last bucket are counted in an overflow bin.
-    pub fn new(bucket_width: f64, buckets: usize) -> Self {
-        assert!(bucket_width > 0.0 && buckets > 0);
-        Self {
-            bucket_width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            tally: Tally::new(),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        self.tally.record(value);
-        let idx = (value / self.bucket_width).floor();
-        if idx < 0.0 {
-            self.buckets[0] += 1;
-        } else if (idx as usize) < self.buckets.len() {
-            self.buckets[idx as usize] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Underlying tally (mean/min/max of the recorded values).
-    pub fn tally(&self) -> &Tally {
-        &self.tally
-    }
-
-    /// Approximate quantile `q` in `[0,1]` from the bucket boundaries.
-    /// Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.tally.count();
-        if total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some((i as f64 + 1.0) * self.bucket_width);
-            }
-        }
-        // Fell into the overflow bucket.
-        self.tally.max()
-    }
-
-    /// Number of values that exceeded the bucketed range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Clears the histogram.
-    pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            *b = 0;
-        }
-        self.overflow = 0;
-        self.tally.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,30 +256,5 @@ mod tests {
         assert_eq!(c.ratio_of(0), 0.0);
         c.reset();
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 1..=100 {
-            h.record(i as f64 - 0.5);
-        }
-        assert_eq!(h.tally().count(), 100);
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 50.0).abs() <= 1.0, "median {median}");
-        let p95 = h.quantile(0.95).unwrap();
-        assert!((p95 - 95.0).abs() <= 1.0, "p95 {p95}");
-        assert_eq!(h.overflow(), 0);
-    }
-
-    #[test]
-    fn histogram_overflow_and_reset() {
-        let mut h = Histogram::new(1.0, 10);
-        h.record(100.0);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.quantile(0.5), Some(100.0));
-        h.reset();
-        assert_eq!(h.tally().count(), 0);
-        assert_eq!(h.quantile(0.5), None);
     }
 }
